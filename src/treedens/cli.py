@@ -17,7 +17,7 @@ import json
 import sys
 
 from .densities import FAMILY_NAMES, family
-from .errors import TreedensError
+from .errors import BadParam, TreedensError
 from .hypercubes import (
     HypercubeSpec,
     Regime,
@@ -271,7 +271,11 @@ def _parse_candidates(text: str, k: int) -> CandidateSet:
         if not tok:
             continue
         name, _, param = tok.partition(":")
-        members.append(family(name, k, float(param) if param else None))
+        try:
+            value = float(param) if param else None
+        except ValueError:
+            raise BadParam(f"candidate {tok!r}: parameter is not a number") from None
+        members.append(family(name, k, value))
         labels.append(tok)
     return CandidateSet(members, labels)
 
@@ -318,7 +322,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _emit(args, _COMMANDS[args.subcommand](args))
-    except TreedensError as exc:
+    except (TreedensError, OSError) as exc:
         print(f"treedens {args.subcommand}: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -326,3 +330,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -35,8 +35,8 @@ class DiscreteDensity:
 
     ``mass[i]`` is the probability of atom ``i + 1``; the atom labels are
     1-based everywhere in the public API, storage is a plain 0-based array.
-    Instances are validated at construction: no negative entries, total mass
-    1 within ``NORMALIZATION_TOL``.
+    Instances are validated at construction: no NaN or infinite entries, no
+    negative entries, total mass 1 within ``NORMALIZATION_TOL``.
     """
 
     k: int
@@ -47,6 +47,8 @@ class DiscreteDensity:
         m = np.array(self.mass, dtype=float)
         if self.k < 1 or m.shape != (self.k,):
             raise BadParam(f"mass must be a length-{self.k} vector")
+        if not np.all(np.isfinite(m)):
+            raise BadParam("mass has a NaN or infinite entry")
         if np.any(m < 0):
             raise NegativeMass("mass has a negative entry")
         total = float(math.fsum(m.tolist()))
@@ -77,9 +79,10 @@ class DiscreteDensity:
 def make_density(mass) -> DiscreteDensity:
     """Validate a mass sequence and wrap it as a DiscreteDensity.
 
-    Raises NegativeMass on any negative entry (checked before normalization
-    so [-0.1, 1.1] reports the sign problem, not the sum), NotNormalized when
-    the total is off by more than 1e-9.  No silent renormalization ever.
+    Raises BadParam on any NaN or infinite entry, NegativeMass on any
+    negative entry (checked before normalization so [-0.1, 1.1] reports the
+    sign problem, not the sum), NotNormalized when the total is off by more
+    than 1e-9.  No silent renormalization ever.
     """
     arr = np.asarray(list(mass), dtype=float)
     return DiscreteDensity(k=int(arr.shape[0]), mass=arr)

@@ -18,7 +18,14 @@ from math import fsum
 import numpy as np
 
 from .densities import FAMILY_NAMES, DiscreteDensity, family
-from .errors import BadParam, DegenerateGrid, EmptyFamily, UnknownEstimator
+from .errors import (
+    BadParam,
+    DegenerateGrid,
+    EmptyFamily,
+    InfeasibleSpec,
+    OutOfRegime,
+    UnknownEstimator,
+)
 from .hypercubes import HypercubeSpec, Regime, assouad_default_params, assouad_density
 from .metrics import tv
 from .partition_trees import (
@@ -262,7 +269,7 @@ def default_sup_family(k: int, n: int) -> list[tuple[str, DiscreteDensity]]:
         for label, bit in (("assouad-zeros", 0), ("assouad-ones", 1)):
             spec = HypercubeSpec(Regime.MONOTONE_SMALL_K, n, k, r, eps, (bit,) * r)
             out.append((label, assouad_density(spec)))
-    except Exception:
+    except (OutOfRegime, InfeasibleSpec):
         pass  # out of regime or degenerate at this (n, k); the named four stand
     return out
 

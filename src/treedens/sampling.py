@@ -5,6 +5,12 @@ consumes counts, never raw draws, so the sample is reduced immediately.
 Determinism contract: a (density, n, seed) triple always yields the same
 counts, across runs and platforms, because the only randomness is PCG64
 output consumed in one vectorized call.
+
+Counting is inverse-CDF by sort-merge: the n uniforms are sorted in place
+and each CDF edge is located among them, so a draw u lands on the atom j
+with edges[j-1] <= u < edges[j].  That costs O(n log n + k log n) time and
+one 8n-byte buffer (the uniforms themselves); no per-draw index array is
+ever built.
 """
 
 from __future__ import annotations
@@ -41,7 +47,13 @@ class SampleCounts:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        if raw.dtype.kind not in "biu":
+            vals = raw.astype(float)
+            # NaN fails both tests; inf and overflow fail the range test
+            if not np.all((vals == np.trunc(vals)) & (np.abs(vals) < 2.0**63)):
+                raise BadParam("counts must be finite integers")
+        counts = np.ascontiguousarray(raw, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.shape != (self.k,):
             raise BadParam(f"expected {self.k} counts, got shape {counts.shape}")
@@ -63,18 +75,30 @@ class SampleCounts:
 
 
 def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
-    """n draws from the density, by inverse CDF on one block of uniforms."""
+    """n draws from the density, by inverse CDF on one block of uniforms.
+
+    The uniforms are sorted and merged against the CDF edges (see the
+    module docstring): O(n log n + k log n) time, one 8n-byte buffer.
+    """
     if n < 0:
         raise BadParam("n must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(n)
-    edges = np.cumsum(density.mass)
-    idx = np.searchsorted(edges, u, side="right")
-    # cumulative rounding can leave edges[-1] a hair under 1; clamp the
-    # stragglers to the last atom
-    idx = np.minimum(idx, density.k - 1)
-    counts = np.bincount(idx, minlength=density.k)
-    return SampleCounts(k=density.k, n=n, counts=counts)
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    return SampleCounts(k=density.k, n=n, counts=_counts_from_uniforms(density.mass, u))
+
+
+def _counts_from_uniforms(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-atom counts of the uniforms u under the CDF of mass; sorts u in place.
+
+    Atom j < k-1 gets the u with edges[j-1] <= u < edges[j].  The last atom
+    gets every u >= edges[-2]: cumulative rounding can leave edges[-1] a hair
+    under 1, and the stragglers past it belong to the last atom.  The edges
+    never decrease because mass is finite and non-negative, so no count is
+    negative.
+    """
+    u.sort()
+    edges = np.cumsum(mass)
+    below = np.searchsorted(u, edges[:-1], side="left")
+    return np.diff(below, prepend=0, append=u.size)
 
 
 def interval_count(sc: SampleCounts, start: int, length: int) -> int:

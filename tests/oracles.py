@@ -268,6 +268,30 @@ def ref_vc_interval_unions(ell: int, m: int) -> int:
     return best
 
 
+# --- inverse-CDF sampling, one binary search per draw -----------------------
+
+
+def ref_counts_from_uniforms(mass, u) -> np.ndarray:
+    """Per-atom counts of the uniforms u under the CDF of mass.
+
+    Each draw is searched among the cumulative edges on its own: it goes to
+    the atom j with edges[j-1] <= u < edges[j].  Draws at or past the last
+    edge, which cumulative rounding can leave a hair under 1, are clamped
+    to the last atom.
+    """
+    edges = np.cumsum(np.asarray(mass, dtype=float))
+    idx = np.searchsorted(edges, u, side="right")
+    idx = np.minimum(idx, len(edges) - 1)
+    return np.bincount(idx, minlength=len(edges))
+
+
+def ref_sample_counts(mass, n: int, seed: int) -> np.ndarray:
+    """The counts of n draws at this seed: the first n PCG64 uniforms of a
+    fresh generator, counted by ref_counts_from_uniforms."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    return ref_counts_from_uniforms(mass, u)
+
+
 # --- random shape generators (exact under the strict predicates) -------------
 
 

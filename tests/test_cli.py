@@ -198,6 +198,35 @@ def test_mde_selects_truth(capsys):
     assert out.splitlines()[1].split(",")[1] == "harmonic-zipf"
 
 
+def test_mde_bad_candidate_param_is_runtime_error(capsys):
+    code, out, err = _capture(
+        capsys,
+        [
+            "mde", "--candidates", "uniform,trunc-geometric:abc",
+            "--family", "uniform", "--k", "8", "--n", "10",
+        ],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("treedens mde:") and "trunc-geometric:abc" in err
+    assert err.count("\n") == 1
+
+
+def test_unwritable_out_is_runtime_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "x.csv"
+    code, out, err = _capture(
+        capsys,
+        [
+            "estimate", "--family", "uniform", "--k", "4", "--n", "10",
+            "--estimator", "oracle", "--out", str(target),
+        ],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("treedens estimate:") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["rates", "--class", "monotone", "--n", "64"])  # --k missing
@@ -211,6 +240,16 @@ def test_usage_error_exit_2():
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-c", "from treedens.cli import main; main()", "vc", "--ell", "1", "--m", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "ell,m,vc\n1,4,2\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "treedens.cli", "vc", "--ell", "1", "--m", "4"],
         capture_output=True,
         text=True,
     )

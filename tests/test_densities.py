@@ -46,6 +46,14 @@ def test_normalization_tolerance():
         make_density([0.5, 0.5 + 5e-9])
 
 
+@pytest.mark.parametrize(
+    "mass", [[float("nan"), 1.0], [0.5, float("nan"), 0.5], [float("inf"), 0.0], [-float("inf"), 1.0]]
+)
+def test_non_finite_mass_rejected(mass):
+    with pytest.raises(BadParam):
+        make_density(mass)
+
+
 def test_empty_mass_rejected():
     with pytest.raises(BadParam):
         make_density([])

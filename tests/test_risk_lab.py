@@ -117,6 +117,17 @@ def test_sup_risk_dominates_each_member():
         assert top.mean_tv >= rep.mean_tv - 1e-15
 
 
+def test_default_sup_family_lets_unexpected_errors_through(monkeypatch):
+    import treedens.risk_lab
+
+    def broken(spec):
+        raise TypeError("bug in the construction")
+
+    monkeypatch.setattr(treedens.risk_lab, "assouad_density", broken)
+    with pytest.raises(TypeError):
+        default_sup_family(64, 1000)
+
+
 def test_sup_risk_f64_family_dominates_uniform():
     fam = default_sup_family(64, 1000)
     assert [name for name, _ in fam][:4] == [

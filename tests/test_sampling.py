@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import ref_counts_from_uniforms, ref_sample_counts
 from treedens import (
+    FAMILY_NAMES,
     BadParam,
     OutOfRange,
     SampleCounts,
@@ -13,6 +19,7 @@ from treedens import (
     sample,
     subsets_to_masks,
 )
+from treedens.sampling import _counts_from_uniforms
 
 
 def test_zero_draws_allowed():
@@ -61,6 +68,67 @@ def test_sample_counts_validation():
         SampleCounts(k=2, n=3, counts=np.array([1, 1]))  # sum mismatch
     with pytest.raises(BadParam):
         SampleCounts(k=2, n=1, counts=np.array([2, -1]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "counts, n",
+    [([1.5, 1.5], 2), ([2.5, 0.5], 2), ([np.nan, 2.0], 2), ([np.inf, 1.0], 1), ([1e300, 0.0], 0)],
+)
+def test_sample_counts_reject_non_integral_floats(counts, n):
+    with pytest.raises(BadParam):
+        SampleCounts(k=2, n=n, counts=np.array(counts))
+
+
+def test_sample_counts_accept_integral_floats():
+    sc = SampleCounts(k=3, n=5, counts=np.array([2.0, 0.0, 3.0]))
+    assert sc.counts.dtype == np.int64
+    assert list(sc.counts) == [2, 0, 3]
+
+
+# weights in [0, 1] with many exact zeros, normalized to a valid density
+_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False)),
+    min_size=1,
+    max_size=200,
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=_weights, n=st.integers(0, 5000), seed=st.integers(0, 2**64 - 1))
+@example(w=[1.0], n=5000, seed=0)
+@example(w=[0.0, 1.0, 0.0], n=17, seed=3)
+def test_sample_counts_equal_reference(w, n, seed):
+    f = make_density(np.array(w) / math.fsum(w))
+    assert np.array_equal(sample(f, n, seed).counts, ref_sample_counts(f.mass, n, seed))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_sample_counts_equal_reference_on_families(name):
+    for k in (1, 7, 64, 4096):
+        f = family(name, k)
+        for n in (0, 1, 1000, 10**4):
+            for seed in range(3):
+                assert np.array_equal(sample(f, n, seed).counts, ref_sample_counts(f.mass, n, seed))
+
+
+def test_uniform_on_a_cdf_edge_goes_to_the_next_atom():
+    # every edge is exact in binary: 0.25, 0.25, 0.5, 1.0; atom 2 has no mass
+    mass = np.array([0.25, 0.0, 0.25, 0.5])
+    u = np.array([0.5, 0.25, 0.0, 0.25, np.nextafter(0.25, 0.0), 0.75, np.nextafter(1.0, 0.0)])
+    counts = _counts_from_uniforms(mass, u.copy())
+    assert np.array_equal(counts, ref_counts_from_uniforms(mass, u))
+    assert list(counts) == [2, 0, 2, 3]
+
+
+def test_stragglers_past_the_last_edge_go_to_the_last_atom():
+    mass = make_density([0.1] * 10).mass
+    edges = np.cumsum(mass)
+    assert edges[-1] < 1.0  # ten 0.1s add up to a hair under 1
+    u = np.array([edges[-1], 0.05, np.nextafter(1.0, 0.0), edges[-2], np.nextafter(edges[-2], 0.0)])
+    counts = _counts_from_uniforms(mass, u.copy())
+    assert np.array_equal(counts, ref_counts_from_uniforms(mass, u))
+    assert counts[0] == 1 and counts[-2] == 1 and counts[-1] == 3
 
 
 def test_interval_count_examples():
