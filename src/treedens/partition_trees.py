@@ -7,21 +7,27 @@ any other node either splits into equal consecutive halves (arity 2) or
 thirds (arity 3) when its splitting rule fires, or becomes a leaf.  The
 greedy rules consume sample counts and are evaluated in exact integer
 arithmetic; the idealized rules consume the true density and are
-deterministic in it.
+deterministic in it.  A built tree keeps only its leaves, as (start,
+length) spans in left-to-right order.
 
 The estimates are piecewise functions over the leaf intervals, truncated
 back to {1, ..., k}.  Truncation can shave off mass that a boundary leaf
 spread onto padded atoms, so estimates built on a padded domain may be
 sub-normalized; each builder takes a renormalize flag (default off) to
 rescale explicitly instead of hiding the adjustment.
+
+monotonize pools adjacent violators in exact arithmetic: the piece values
+become integers on one common binary scale, so merged averages are
+correctly rounded and independent of merge order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -55,78 +61,57 @@ def pad_to_power(k: int, arity: int) -> int:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """A node covering the atoms {start, ..., start + length - 1}, 1-based."""
+    """A leaf covering the atoms {start, ..., start + length - 1}, 1-based."""
 
     start: int
     length: int
-    children: tuple["TreeNode", ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass(frozen=True)
 class PartitionTree:
+    """A partition tree kept as its leaves: spans holds each leaf's
+    (start, length) in left-to-right order, and the spans tile the
+    padded domain.  Internal nodes are implied by the arity."""
+
     arity: int
     padded_k: int
-    root: TreeNode
+    spans: tuple[tuple[int, int], ...]
 
     def leaves(self) -> list[TreeNode]:
         """Leaves in left-to-right order; their intervals tile the domain."""
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+        return [TreeNode(s, l) for s, l in self.spans]
 
     def leaf_intervals(self) -> list[tuple[int, int]]:
-        return [(u.start, u.length) for u in self.leaves()]
+        return list(self.spans)
 
     def nonsingleton_leaf_count(self) -> int:
-        return sum(1 for u in self.leaves() if u.length > 1)
+        return sum(1 for _, l in self.spans if l > 1)
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "arity": self.arity,
                 "padded_k": self.padded_k,
-                "leaves": [{"start": s, "len": l} for s, l in self.leaf_intervals()],
+                "leaves": [{"start": s, "len": l} for s, l in self.spans],
             }
         )
 
 
 def _build_tree(arity: int, padded_k: int, should_split) -> PartitionTree:
-    """Two passes over an explicit stack: decide splits top-down, then
-    assemble nodes bottom-up, so deep trees cannot hit recursion limits."""
-    order: list[tuple[int, int]] = []
-    split: dict[tuple[int, int], bool] = {}
+    """Depth-first over an explicit stack, so deep trees cannot hit
+    recursion limits; children are pushed right to left, so leaves come
+    off the stack in left-to-right order."""
+    spans: list[tuple[int, int]] = []
     stack = [(1, padded_k)]
+    right_to_left = range(arity - 1, -1, -1)
     while stack:
         start, length = stack.pop()
-        order.append((start, length))
-        if length == 1:
-            split[(start, length)] = False
-            continue
-        decided = should_split(start, length)
-        split[(start, length)] = decided
-        if decided:
+        if length > 1 and should_split(start, length):
             child = length // arity
-            for j in range(arity):
-                stack.append((start + j * child, child))
-    nodes: dict[tuple[int, int], TreeNode] = {}
-    for start, length in reversed(order):
-        if split[(start, length)]:
-            child = length // arity
-            kids = tuple(nodes[(start + j * child, child)] for j in range(arity))
-            nodes[(start, length)] = TreeNode(start, length, kids)
+            stack += [(start + j * child, child) for j in right_to_left]
         else:
-            nodes[(start, length)] = TreeNode(start, length)
-    return PartitionTree(arity=arity, padded_k=padded_k, root=nodes[(1, padded_k)])
+            spans.append((start, length))
+    return PartitionTree(arity=arity, padded_k=padded_k, spans=tuple(spans))
 
 
 def greedy_split_decision(n_left: int, n_right: int) -> bool:
@@ -145,27 +130,39 @@ def greedy_ternary_split_decision(n_left: int, n_mid: int, n_right: int) -> bool
     return d > 0 and d * d > n_left + n_mid + n_right
 
 
-def _count_lookup(sc: SampleCounts):
-    cum = np.concatenate([[0], np.cumsum(sc.counts)])
-
-    def count(start: int, length: int) -> int:
-        # intervals may stick out into the padding, which holds no samples
-        lo = min(start - 1, sc.k)
-        hi = min(start + length - 1, sc.k)
-        return int(cum[hi] - cum[lo])
-
-    return count
+def _cumulative(values: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.zeros(1, values.dtype), np.cumsum(values)])
 
 
-def _mass_lookup(f: DiscreteDensity):
-    cum = np.concatenate([[0.0], np.cumsum(f.mass)])
+def _interval_lookup(values: np.ndarray):
+    """Sum of values over the atoms {start, ..., start + length - 1}.
 
-    def mass(start: int, length: int) -> float:
-        lo = min(start - 1, f.k)
-        hi = min(start + length - 1, f.k)
-        return float(cum[hi] - cum[lo])
+    Intervals may stick out into the padding, which holds nothing.  Int
+    values give a Python int, float values a float equal to the numpy
+    difference of cumulative sums.
+    """
+    at = _cumulative(values).item
+    k = values.size
 
-    return mass
+    def total(start: int, length: int):
+        lo = start - 1
+        hi = lo + length
+        if hi > k:
+            hi = k
+            if lo > k:
+                lo = k
+        return at(hi) - at(lo)
+
+    return total
+
+
+def _leaf_totals(cum: np.ndarray, starts, lengths) -> list:
+    """The sums of _interval_lookup for many intervals at once, from the
+    cumulative array of the values."""
+    k = cum.size - 1
+    lo = np.minimum(np.asarray(starts) - 1, k)
+    hi = np.minimum(lo + np.asarray(lengths), k)
+    return (cum[hi] - cum[lo]).tolist()
 
 
 def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
@@ -173,7 +170,7 @@ def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
     by more than a standard deviation's worth."""
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    count = _count_lookup(sc)
+    count = _interval_lookup(sc.counts)
 
     def should_split(start: int, length: int) -> bool:
         half = length // 2
@@ -189,7 +186,7 @@ def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
         raise BadParam("n must be >= 1")
     if not is_non_increasing(f):
         raise NotMonotone("the idealized binary tree needs a non-increasing density")
-    mass = _mass_lookup(f)
+    mass = _interval_lookup(f.mass)
 
     def should_split(start: int, length: int) -> bool:
         half = length // 2
@@ -204,7 +201,7 @@ def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
     """Sample-driven ternary tree splitting on the thirds' count curvature."""
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    count = _count_lookup(sc)
+    count = _interval_lookup(sc.counts)
 
     def should_split(start: int, length: int) -> bool:
         third = length // 3
@@ -224,7 +221,7 @@ def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
         raise BadParam("n must be >= 1")
     if not is_convex_non_increasing(f):
         raise NotConvex("the idealized ternary tree needs a convex non-increasing density")
-    mass = _mass_lookup(f)
+    mass = _interval_lookup(f.mass)
 
     def should_split(start: int, length: int) -> bool:
         third = length // 3
@@ -293,20 +290,29 @@ class PiecewiseEstimate:
             raise BadParam(f"pieces cover 1..{pos - 1}, domain is 1..{self.domain_k}")
 
     def atom_values(self) -> np.ndarray:
-        return np.concatenate([p.atom_values() for p in self.pieces])
+        """Per-atom values over 1..domain_k, equal to concatenating each
+        piece's atom_values()."""
+        pieces = self.pieces
+        lengths = [p.length for p in pieces]
+        vals = np.repeat([p.value for p in pieces], lengths)
+        linear = [p.kind == "linear" for p in pieces]
+        if any(linear):
+            x = np.arange(1, self.domain_k + 1, dtype=float)
+            slope = np.repeat([p.slope for p in pieces], lengths)
+            intercept = np.repeat([p.intercept for p in pieces], lengths)
+            vals = np.where(np.repeat(linear, lengths), slope * x + intercept, vals)
+        return vals
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        return [p.start for p in self.pieces]
 
     def __call__(self, x: int) -> float:
         if not 1 <= x <= self.domain_k:
             raise DomainMismatch(f"atom {x} outside 1..{self.domain_k}")
-        for p in self.pieces:
-            if x < p.start + p.length:
-                if p.kind == "constant":
-                    return p.value
-                return self.slope_eval(p, x)
-        raise AssertionError("tiling invariant violated")
-
-    @staticmethod
-    def slope_eval(p: Piece, x: int) -> float:
+        p = self.pieces[bisect_right(self._starts, x) - 1]
+        if p.kind == "constant":
+            return p.value
         return p.slope * x + p.intercept
 
     def total_mass(self) -> float:
@@ -379,18 +385,19 @@ def histogram_estimate(
     _check_tree_counts(t, sc)
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    count = _count_lookup(sc)
+    starts, lengths = zip(*t.spans)
+    counts = _leaf_totals(_cumulative(sc.counts), starts, lengths)
     pieces = [
-        Piece(u.start, u.length, "constant", value=count(u.start, u.length) / (sc.n * u.length))
-        for u in t.leaves()
+        Piece(s, l, "constant", value=c / (sc.n * l))
+        for s, l, c in zip(starts, lengths, counts)
     ]
     return _scaled(PiecewiseEstimate(sc.k, tuple(_truncate(pieces, sc.k))), renormalize)
 
 
-def _atom_mass(f: DiscreteDensity, x: int) -> float:
-    # direct read so singleton leaves reproduce f bit for bit; the cumsum
-    # lookup would round the same value twice
-    return float(f.mass[x - 1]) if x <= f.k else 0.0
+def _atom(values: np.ndarray, x: int):
+    # direct read so singleton leaves reproduce f bit for bit; a difference
+    # of cumulative float sums would round the same value twice
+    return values.item(x - 1) if x <= values.size else 0.0
 
 
 def idealized_pc_estimate(
@@ -398,19 +405,24 @@ def idealized_pc_estimate(
 ) -> PiecewiseEstimate:
     """Piecewise-constant projection of f itself onto the leaf partition."""
     _check_tree_density(t, f)
-    mass = _mass_lookup(f)
+    starts, lengths = zip(*t.spans)
+    masses = _leaf_totals(_cumulative(f.mass), starts, lengths)
     pieces = [
-        Piece(
-            u.start,
-            u.length,
-            "constant",
-            value=_atom_mass(f, u.start)
-            if u.length == 1
-            else mass(u.start, u.length) / u.length,
-        )
-        for u in t.leaves()
+        Piece(s, l, "constant", value=_atom(f.mass, s) if l == 1 else m / l)
+        for s, l, m in zip(starts, lengths, masses)
     ]
     return _scaled(PiecewiseEstimate(f.k, tuple(_truncate(pieces, f.k))), renormalize)
+
+
+def _outer_thirds(values: np.ndarray, t: PartitionTree):
+    """Per leaf: (start, length, third, left-third total, right-third total).
+    Singleton leaves have third 0 and zero totals."""
+    cum = _cumulative(values)
+    starts, lengths = zip(*t.spans)
+    thirds = [l // 3 for l in lengths]
+    left = _leaf_totals(cum, starts, thirds)
+    right = _leaf_totals(cum, [s + 2 * d for s, d in zip(starts, thirds)], thirds)
+    return zip(starts, lengths, thirds, left, right)
 
 
 def _fitted_line(start: int, third: int, avg_left: float, avg_right: float):
@@ -426,32 +438,33 @@ def idealized_pl_estimate(
     t: PartitionTree, f: DiscreteDensity, renormalize: bool = False
 ) -> PiecewiseEstimate:
     """Per-leaf line through the outer thirds' average values of f;
-    singleton leaves copy f exactly.  Values are not clamped."""
+    singleton leaves copy f exactly.  Values are not clamped, and the
+    fitted lines need not preserve mass, so the estimate's total can
+    differ from 1 even before truncation."""
     _check_tree_density(t, f)
     if t.arity != 3:
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
-    mass = _mass_lookup(f)
     pieces = []
-    for u in t.leaves():
-        if u.length == 1:
-            pieces.append(Piece(u.start, 1, "constant", value=_atom_mass(f, u.start)))
+    for start, length, third, left, right in _outer_thirds(f.mass, t):
+        if length == 1:
+            pieces.append(Piece(start, 1, "constant", value=_atom(f.mass, start)))
             continue
-        third = u.length // 3
-        avg_left = mass(u.start, third) / third
-        avg_right = mass(u.start + 2 * third, third) / third
-        slope, intercept = _fitted_line(u.start, third, avg_left, avg_right)
-        pieces.append(Piece(u.start, u.length, "linear", slope=slope, intercept=intercept))
+        slope, intercept = _fitted_line(start, third, left / third, right / third)
+        pieces.append(Piece(start, length, "linear", slope=slope, intercept=intercept))
     return _scaled(PiecewiseEstimate(f.k, tuple(_truncate(pieces, f.k))), renormalize)
 
 
 def _clamped_linear(start: int, length: int, slope: float, intercept: float) -> list[Piece]:
     """Split a fitted line into a linear part and a zero ledge where it goes
     negative.  The line is >= 0 between the two fitted midpoints, so the
-    negative atoms form a run at one end of the leaf."""
+    negative atoms form a run at one end of the leaf.  Rounding is
+    monotone, so the computed values are monotone in x too, and a line
+    that is not negative at either end is negative nowhere."""
+    last = start + length - 1
+    if not (slope * start + intercept < 0.0 or slope * last + intercept < 0.0):
+        return [Piece(start, length, "linear", slope=slope, intercept=intercept)]
     x = np.arange(start, start + length, dtype=float)
     neg = slope * x + intercept < 0.0
-    if not neg.any():
-        return [Piece(start, length, "linear", slope=slope, intercept=intercept)]
     if slope < 0.0:
         keep = int(np.argmax(neg))
         return [
@@ -470,23 +483,22 @@ def greedy_pl_estimate(
 ) -> PiecewiseEstimate:
     """Empirical version of the per-leaf line fit, with negative stretches
     clamped to zero: unlike the idealized averages, empirical thirds can
-    slope either way."""
+    slope either way.  As in idealized_pl_estimate, the fitted lines need
+    not preserve mass."""
     _check_tree_counts(t, sc)
     if t.arity != 3:
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    count = _count_lookup(sc)
     pieces: list[Piece] = []
-    for u in t.leaves():
-        if u.length == 1:
-            pieces.append(Piece(u.start, 1, "constant", value=count(u.start, 1) / sc.n))
+    for start, length, third, left, right in _outer_thirds(sc.counts, t):
+        if length == 1:
+            pieces.append(Piece(start, 1, "constant", value=_atom(sc.counts, start) / sc.n))
             continue
-        third = u.length // 3
-        avg_left = count(u.start, third) / (sc.n * third)
-        avg_right = count(u.start + 2 * third, third) / (sc.n * third)
-        slope, intercept = _fitted_line(u.start, third, avg_left, avg_right)
-        pieces.extend(_clamped_linear(u.start, u.length, slope, intercept))
+        avg_left = left / (sc.n * third)
+        avg_right = right / (sc.n * third)
+        slope, intercept = _fitted_line(start, third, avg_left, avg_right)
+        pieces.extend(_clamped_linear(start, length, slope, intercept))
     return _scaled(PiecewiseEstimate(sc.k, tuple(_truncate(pieces, sc.k))), renormalize)
 
 
@@ -495,16 +507,20 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
 
     Merging two pieces replaces them by their length-weighted average, and
     iterating to a fixed point gives the same answer in every merge order.
-    To honor that uniqueness in floats, the pooling arithmetic runs on
-    exact rationals of the input values; pieces that survive unmerged keep
-    their float value bit for bit, and merged blocks round once at the end.
+    To honor that uniqueness in floats, the pooling arithmetic is exact:
+    every value is an integer over one common power-of-two denominator,
+    so block totals are Python ints.  Pieces that survive unmerged keep
+    their float value bit for bit, and a merged block rounds once at the
+    end, by correctly rounded integer division.
     """
     if any(p.kind != "constant" for p in e.pieces):
         raise NotPiecewiseConstant("monotonize applies to piecewise-constant estimates")
-    # block: [first piece index, last piece index, atom length, exact total]
+    ratios = [p.value.as_integer_ratio() for p in e.pieces]
+    den = max(d for _, d in ratios)
+    # block: [first piece index, last piece index, atom length, total * den]
     blocks: list[list] = []
-    for idx, p in enumerate(e.pieces):
-        blocks.append([idx, idx, p.length, Fraction(p.value) * p.length])
+    for idx, (p, (num, d)) in enumerate(zip(e.pieces, ratios)):
+        blocks.append([idx, idx, p.length, num * (den // d) * p.length])
         while len(blocks) >= 2:
             a, b = blocks[-2], blocks[-1]
             if a[3] * b[2] < b[3] * a[2]:  # average(a) < average(b): violation
@@ -518,7 +534,7 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
         if first == last:
             value = e.pieces[first].value
         else:
-            value = float(total / length)
+            value = total / (den * length)
         out.append(Piece(pos, length, "constant", value=value))
         pos += length
     return PiecewiseEstimate(e.domain_k, tuple(out))

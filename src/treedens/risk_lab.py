@@ -4,7 +4,9 @@ A named estimator is a function (truth, sample) -> atom values.  Data-driven
 estimators ignore the truth; idealized ones ignore the counts and use only
 the sample size.  mc_risk averages TV(estimate, truth) over independently
 seeded replications and is bit-deterministic for a fixed master seed no
-matter how many worker threads run the replications.
+matter how many worker threads run the replications.  Count-free
+estimators (the oracle and the idealized ones) give the same estimate in
+every replication, so mc_risk fits them once and draws no samples.
 """
 
 from __future__ import annotations
@@ -54,8 +56,20 @@ __all__ = [
 ]
 
 
-def _est_oracle(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
+def _fit_oracle(f: DiscreteDensity, n: int) -> np.ndarray:
     return f.mass
+
+
+def _fit_idealized_binary(f: DiscreteDensity, n: int) -> np.ndarray:
+    return idealized_pc_estimate(build_idealized_binary(f, n), f).atom_values()
+
+
+def _fit_idealized_ternary(f: DiscreteDensity, n: int) -> np.ndarray:
+    return idealized_pl_estimate(build_idealized_ternary(f, n), f).atom_values()
+
+
+def _est_oracle(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
+    return _fit_oracle(f, sc.n)
 
 
 def _est_empirical(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
@@ -75,11 +89,11 @@ def _est_greedy_ternary(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
 
 
 def _est_idealized_binary(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return idealized_pc_estimate(build_idealized_binary(f, sc.n), f).atom_values()
+    return _fit_idealized_binary(f, sc.n)
 
 
 def _est_idealized_ternary(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return idealized_pl_estimate(build_idealized_ternary(f, sc.n), f).atom_values()
+    return _fit_idealized_ternary(f, sc.n)
 
 
 ESTIMATORS = {
@@ -91,6 +105,15 @@ ESTIMATORS = {
     "idealized-binary": _est_idealized_binary,
     "idealized-ternary": _est_idealized_ternary,
 }
+
+
+# Registry functions that read only the sample size, with their (f, n) fits.
+# mc_risk fits these once per call: every replication has the same loss.
+_COUNT_FREE = (
+    (_est_oracle, _fit_oracle),
+    (_est_idealized_binary, _fit_idealized_binary),
+    (_est_idealized_ternary, _fit_idealized_ternary),
+)
 
 
 def estimator_names() -> list[str]:
@@ -186,25 +209,34 @@ def mc_risk(
     replication set is fixed by master_seed alone.  Results land in a slot
     per replication and are summed in index order afterward, which keeps
     mean_tv bit-identical across thread counts and scheduling orders.
+    The registry's count-free estimators (oracle and the idealized ones)
+    are fit once and their loss is repeated reps times, with no sample
+    drawn; a custom callable always runs per replication.
     """
     name, fn = _resolve(estimator)
     if reps < 1:
         raise BadParam(f"need reps >= 1, got {reps}")
     if threads < 1:
         raise BadParam(f"need threads >= 1, got {threads}")
+    if n < 0:
+        raise BadParam("n must be >= 0")
 
-    losses = [0.0] * reps
-
-    def one(i: int) -> None:
-        sc = sample(f, n, derive_seed(master_seed, i))
-        losses[i] = tv(f.mass, fn(f, sc))
-
-    if threads == 1:
-        for i in range(reps):
-            one(i)
+    fit = next((fit for est, fit in _COUNT_FREE if est is fn), None)
+    if fit is not None:
+        losses = [tv(f.mass, fit(f, n))] * reps
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(reps)))
+        losses = [0.0] * reps
+
+        def one(i: int) -> None:
+            sc = sample(f, n, derive_seed(master_seed, i))
+            losses[i] = tv(f.mass, fn(f, sc))
+
+        if threads == 1:
+            for i in range(reps):
+                one(i)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(one, range(reps)))
 
     mean = fsum(losses) / reps
     if reps == 1:

@@ -98,7 +98,9 @@ def _counts_from_uniforms(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
     u.sort()
     edges = np.cumsum(mass)
     below = np.searchsorted(u, edges[:-1], side="left")
-    return np.diff(below, prepend=0, append=u.size)
+    # one concatenate is cheaper than diff's prepend/append; at k = 1,
+    # below is empty and the single atom gets all u.size draws
+    return np.diff(np.concatenate(([0], below, [u.size])))
 
 
 def interval_count(sc: SampleCounts, start: int, length: int) -> int:

@@ -205,6 +205,30 @@ def pava_all_merge_orders(pieces) -> list[tuple[int, Fraction]]:
     return [(l, v) for l, v in results.pop()]
 
 
+def ref_monotonize(pieces) -> list[tuple[int, float]]:
+    """Pool adjacent violators in exact Fractions, one left-to-right pass.
+
+    pieces is a list of (length, float value).  Returns (length, value)
+    blocks: a block made of one input piece keeps that piece's float, and
+    a merged block's exact average is rounded once to the nearest float.
+    """
+    # block: [first piece index, last piece index, length, exact total]
+    blocks: list[list] = []
+    for idx, (length, value) in enumerate(pieces):
+        blocks.append([idx, idx, length, Fraction(value) * length])
+        while len(blocks) >= 2:
+            a, b = blocks[-2], blocks[-1]
+            if a[3] * b[2] < b[3] * a[2]:  # average(a) < average(b): violation
+                blocks[-2] = [a[0], b[1], a[2] + b[2], a[3] + b[3]]
+                blocks.pop()
+            else:
+                break
+    return [
+        (length, pieces[first][1] if first == last else float(total / length))
+        for first, last, length, total in blocks
+    ]
+
+
 # --- exact binomial expectation ---------------------------------------------
 
 

@@ -1,28 +1,34 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import binom_mean_abs_dev
 from treedens import (
+    ESTIMATORS,
     BadParam,
     DegenerateGrid,
     EmptyFamily,
     HypercubeSpec,
+    NotConvex,
     Regime,
     RiskReport,
     UnknownEstimator,
     assouad_default_params,
     assouad_density,
     default_sup_family,
+    derive_seed,
     estimator_names,
     family,
     fit_estimate,
     mc_risk,
     rate_scaling,
+    risk_lab,
     sample,
     sup_risk,
+    tv,
 )
 
 # Frozen at first run: greedy-binary+monotonize, harmonic-zipf, n=1000,
@@ -198,3 +204,61 @@ def test_mc_risk_validation():
         mc_risk("oracle", f, 10, 0, 0)
     with pytest.raises(BadParam):
         mc_risk("oracle", f, 10, 2, 0, threads=0)
+
+
+def _draw_no_sample(*args, **kwargs):
+    raise AssertionError("a count-free estimator drew a sample")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "name, fam",
+    [
+        ("oracle", "harmonic-zipf"),
+        ("idealized-binary", "harmonic-zipf"),
+        ("idealized-binary", "trunc-geometric"),
+        ("idealized-ternary", "harmonic-zipf"),
+        ("idealized-ternary", "trunc-geometric"),
+    ],
+)
+def test_count_free_estimators_fit_once(monkeypatch, name, fam, threads):
+    f = family(fam, 64)
+    n, reps, seed = 1000, 7, 13
+    # the per-replication loop that mc_risk runs for sample-driven estimators
+    fn = ESTIMATORS[name]
+    losses = [tv(f.mass, fn(f, sample(f, n, derive_seed(seed, i)))) for i in range(reps)]
+    mean = math.fsum(losses) / reps
+    var = math.fsum((x - mean) ** 2 for x in losses) / (reps - 1)
+    want = RiskReport(name, fam, n, 64, reps, mean, math.sqrt(var / reps), seed)
+    monkeypatch.setattr(risk_lab, "sample", _draw_no_sample)
+    assert mc_risk(name, f, n, reps, seed, density_name=fam, threads=threads) == want
+    # the registry function object itself takes the same path
+    by_object = mc_risk(fn, f, n, reps, seed, density_name=fam, threads=threads)
+    assert by_object == replace(want, estimator_name=fn.__name__)
+
+
+def test_count_free_estimators_keep_their_errors(monkeypatch):
+    monkeypatch.setattr(risk_lab, "sample", _draw_no_sample)
+    f = family("harmonic-zipf", 64)
+    for name in ("oracle", "idealized-binary", "idealized-ternary"):
+        with pytest.raises(BadParam):
+            mc_risk(name, f, -1, 3, 0)
+    with pytest.raises(BadParam):
+        mc_risk("idealized-binary", f, 0, 3, 0)
+    with pytest.raises(NotConvex):
+        mc_risk("idealized-ternary", family("linear-decreasing", 64), 1000, 3, 0)
+
+
+def test_custom_callable_runs_every_replication():
+    seen = []
+
+    def oracle(f, sc):  # shares a registry name, but is not the registry function
+        seen.append(sc.counts.copy())
+        return f.mass
+
+    f = family("harmonic-zipf", 16)
+    rep = mc_risk(oracle, f, 100, 5, 3)
+    assert rep.estimator_name == "oracle" and rep.mean_tv == 0.0
+    assert len(seen) == 5
+    for i, counts in enumerate(seen):
+        assert np.array_equal(counts, sample(f, 100, derive_seed(3, i)).counts)

@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     pava_all_merge_orders,
+    random_convex_mass,
+    random_monotone_mass,
     random_monotone_mixture,
     ref_greedy_binary_leaves,
     ref_greedy_ternary_leaves,
     ref_idealized_binary_leaves,
     ref_idealized_ternary_leaves,
+    ref_monotonize,
 )
 from treedens import (
     BadParam,
@@ -106,6 +111,32 @@ def test_greedy_tree_matches_oracle_random():
         assert build_greedy_binary(sc).leaf_intervals() == ref_greedy_binary_leaves(
             sc.counts
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.lists(
+        st.one_of(st.integers(0, 5), st.integers(0, 10**9)), min_size=1, max_size=100
+    ).filter(any)
+)
+def test_greedy_builders_match_oracles_on_any_counts(counts):
+    sc = SampleCounts(k=len(counts), n=sum(counts), counts=np.array(counts))
+    assert build_greedy_binary(sc).leaf_intervals() == ref_greedy_binary_leaves(counts)
+    assert build_greedy_ternary(sc).leaf_intervals() == ref_greedy_ternary_leaves(counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 100), n=st.integers(1, 10**9))
+def test_idealized_builders_match_oracles_on_random_shapes(seed, k, n):
+    rng = np.random.default_rng(seed)
+    f = make_density(random_monotone_mass(rng, k))
+    assert build_idealized_binary(f, n).leaf_intervals() == ref_idealized_binary_leaves(
+        f.mass, n
+    )
+    g = make_density(random_convex_mass(rng, k))
+    assert build_idealized_ternary(g, n).leaf_intervals() == ref_idealized_ternary_leaves(
+        g.mass, n
+    )
 
 
 def test_idealized_tree_uniform_single_leaf():
@@ -290,6 +321,80 @@ def test_piecewise_estimate_eval():
     assert est(4) == pytest.approx(0.15)
     with pytest.raises(DomainMismatch):
         est(5)
+
+
+@st.composite
+def _mixed_estimates(draw):
+    values = st.floats(-1e3, 1e3, allow_subnormal=True)
+    pieces, pos = [], 1
+    for _ in range(draw(st.integers(1, 10))):
+        length = draw(st.integers(1, 8))
+        if draw(st.booleans()):
+            pieces.append(Piece(pos, length, "constant", value=draw(values)))
+        else:
+            slope, intercept = draw(values), draw(values)
+            pieces.append(Piece(pos, length, "linear", slope=slope, intercept=intercept))
+        pos += length
+    return PiecewiseEstimate(pos - 1, tuple(pieces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(est=_mixed_estimates())
+def test_atom_values_and_call_match_pieces(est):
+    got = est.atom_values()
+    want = np.concatenate([p.atom_values() for p in est.pieces])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for x in range(1, est.domain_k + 1):
+        assert est(x).hex() == float(got[x - 1]).hex()
+
+
+_PAVA_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.0**-1022, allow_subnormal=True, exclude_max=True),  # subnormals
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=False, allow_infinity=False),  # every sign and exponent
+)
+
+
+@st.composite
+def _pava_pieces(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 12))):
+        length = draw(st.integers(1, 6))
+        if out and draw(st.booleans()):
+            value = out[-1][1]  # equal neighbours
+        else:
+            value = draw(_PAVA_VALUES)
+        out.append((length, value))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=_pava_pieces())
+def test_monotonize_matches_fraction_pava_bitwise(pieces):
+    est, pos = [], 1
+    for length, value in pieces:
+        est.append(Piece(pos, length, "constant", value=value))
+        pos += length
+    got = monotonize(PiecewiseEstimate(pos - 1, tuple(est))).pieces
+    assert [(p.length, p.value.hex()) for p in got] == [
+        (l, v.hex()) for l, v in ref_monotonize(pieces)
+    ]
+    values = [p.value for p in got]
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    # mass: each block's value is its exact input mass per atom, rounded once
+    it = iter(pieces)
+    for p in got:
+        mass, covered = Fraction(0), 0
+        while covered < p.length:
+            length, value = next(it)
+            mass += Fraction(value) * length
+            covered += length
+        assert covered == p.length and float(mass / p.length) == p.value
+    again = monotonize(PiecewiseEstimate(pos - 1, got)).pieces
+    assert [(p.length, p.value.hex()) for p in again] == [
+        (p.length, p.value.hex()) for p in got
+    ]
 
 
 def test_monotonize_noop_bitwise():
