@@ -317,9 +317,12 @@ _COMMANDS = {
 }
 
 
+# parsing leaves the parser unchanged, so one tree serves every call
+_PARSER = _build_parser()
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _emit(args, _COMMANDS[args.subcommand](args))
     except (TreedensError, OSError) as exc:

@@ -17,6 +17,13 @@ differences the convexity predicate computes are exact.  Naive evaluation of
 the defining piecewise-linear interpolations would fail the exact predicate
 on collinear stretches, where real second differences are 0 and the sign is
 decided by rounding noise.
+
+The convex grid is computed per bin with numpy in int64: one cumulative sum
+for the anchor chain, one reversed running maximum for the decrement caps
+and one cumulative sum over the per-atom decrements.  Its values stay below
+about 2**54 even at the top of the normalization's bisection bracket, where
+an int64 total over a few hundred atoms could wrap, so the totals that
+decide the bisection are exact Python ints.
 """
 
 from __future__ import annotations
@@ -226,19 +233,74 @@ def _monotone_small(spec: HypercubeSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _convex_targets(regime: Regime, r: int, eps: float, scale: float):
-    """Real-valued bin anchor chain (beta_i) and dip sizes (Delta_i) at a
-    given overall scale; the scale is tuned afterwards so the mass is 1."""
-    if regime == Regime.CONVEX_LARGE_K:
-        beta = [scale * (1.0 - eps) ** i for i in range(r + 1)]
-        delta = [eps * (beta[i] - beta[i + 1]) / 3.0 for i in range(r)]
+def _grid_at_scale(
+    regime: Regime,
+    bin_lengths: tuple[int, ...],
+    k: int,
+    eps: float,
+    bits: tuple[int, ...],
+    q: int,
+):
+    """The map scale -> _convex_grid(regime, bin_lengths, k, eps, bits, scale, q).
+
+    Everything that does not depend on the scale (bin sizes, run counts,
+    the anchor chain's steps, and the dips in the small-k regime) is
+    computed once here, so the bisection in _convex_scale pays only for
+    the scale-dependent part.
+    """
+    r = len(bin_lengths)
+    grid = float(2**q)
+    ms = np.array(bin_lengths, dtype=np.int64) // 3
+    b = np.array(bits, dtype=np.int64)
+    # per bin, bit 0 runs [g+2h] x m then [g-h] x 2m, bit 1 [g+h] x 2m then [g-2h] x m
+    counts = np.column_stack(((1 + b) * ms, (2 - b) * ms)).ravel()
+    in_bins = int(counts.sum())
+    large = regime == Regime.CONVEX_LARGE_K
+    if large:
+        powers = np.array([(1.0 - eps) ** i for i in range(r + 1)])
     else:
         alpha = eps / r**3
-        beta = [scale]
-        for i in range(1, r + 1):
-            beta.append(beta[i - 1] - alpha / 2.0 - alpha * (r - i))
-        delta = [alpha / 6.0] * r
-    return beta, delta
+        # beta_i = beta_{i-1} - alpha/2 - alpha (r-i), one add at a time
+        steps = np.empty(2 * r + 1)
+        steps[1::2] = -alpha / 2.0
+        steps[2::2] = -(alpha * np.arange(r - 1, -1, -1, dtype=float))
+        small_eta = np.rint(alpha / 6.0 * grid / (2.0 * ms)).astype(np.int64)
+
+    def at(scale: float) -> np.ndarray:
+        if large:
+            beta = scale * powers
+            delta = eps * (beta[:-1] - beta[1:]) / 3.0
+            eta = np.rint(delta * grid / (2.0 * ms)).astype(np.int64)
+        else:
+            steps[0] = scale
+            beta = np.cumsum(steps)[::2]
+            eta = small_eta
+        want = np.rint((beta[:-1] - beta[1:]) * grid / (3.0 * ms)).astype(np.int64)
+        # g_i = max(want_i, g_{i+1} + 2 eta_{i+1} + 2 eta_i), with g_r = 0 and
+        # eta_r = 0: g_i = D_i + max_{j >= i} (want_j - D_j), where D_i is
+        # the suffix sum of the step terms 2 eta_l + 2 eta_{l+1}, l >= i
+        step = 2 * eta
+        step[:-1] += 2 * eta[1:]
+        suffix = np.zeros(r + 1, dtype=np.int64)
+        suffix[:-1] = np.cumsum(step[::-1])[::-1]
+        reach = np.append(want, 0) - suffix
+        g = (np.maximum.accumulate(reach[::-1])[::-1] + suffix)[:-1]
+        decs = np.column_stack((g + (2 - b) * eta, g - (1 + b) * eta)).ravel()
+        drops = np.cumsum(np.repeat(decs, counts))
+        y = int(np.rint(beta[0] * grid))
+        vals = np.zeros(max(k, in_bins), dtype=np.int64)
+        vals[0] = y
+        vals[1:in_bins] = y - drops[:-1]
+        # after the last bin, ramp down by the last decrement while positive
+        v = y - int(drops[-1])
+        tail_dec = int(g[-1] - 2 * eta[-1])
+        room = k - in_bins
+        if v > 0 and room > 0:
+            t = room if tail_dec <= 0 else min(room, -(-v // tail_dec))
+            vals[in_bins : in_bins + t] = v - tail_dec * np.arange(t, dtype=np.int64)
+        return vals
+
+    return at
 
 
 def _convex_grid(
@@ -249,54 +311,23 @@ def _convex_grid(
     bits: tuple[int, ...],
     scale: float,
     q: int,
-) -> list[int]:
+) -> np.ndarray:
     """Integer atom values (units of 2**-q) for one corner of the hypercube.
 
-    Within bin i the value walks down by a constant integer decrement per
-    step: bit 0 uses [g+2h] x m then [g-h] x 2m, bit 1 the mirror
+    The bins' anchor chain beta_i and dip sizes Delta_i are real-valued at
+    the given overall scale; the scale is tuned afterwards so the mass is
+    1.  Within bin i the value walks down by a constant integer decrement
+    per step: bit 0 uses [g+2h] x m then [g-h] x 2m, bit 1 the mirror
     [g+h] x 2m then [g-2h] x m, where 3m is the bin length, g the per-step
     chord drop and h the quantized dip.  Both variants consume exactly 3mg
     and carry identical integer mass, so bin anchors and the total are
     theta-independent.  The g-chain is built right-to-left with the caps
     that keep the global decrement sequence non-increasing, which is
     exactly discrete convexity.  After the last bin the value keeps ramping
-    down by the final decrement until it crosses zero.
+    down by the final decrement until it crosses zero.  Returns an int64
+    array of max(k, sum(bin_lengths)) atoms.
     """
-    r = len(bin_lengths)
-    beta, delta = _convex_targets(regime, r, eps, scale)
-    grid = float(2**q)
-    ms = [length // 3 for length in bin_lengths]
-    eta = [round(delta[i] * grid / (2.0 * ms[i])) for i in range(r)]
-    g = [0] * r
-    g[r - 1] = max(round((beta[r - 1] - beta[r]) * grid / (3.0 * ms[r - 1])), 2 * eta[r - 1])
-    for i in range(r - 2, -1, -1):
-        want = round((beta[i] - beta[i + 1]) * grid / (3.0 * ms[i]))
-        g[i] = max(want, g[i + 1] + 2 * eta[i + 1] + 2 * eta[i])
-    vals: list[int] = []
-    y = round(beta[0] * grid)
-    for i in range(r):
-        m, gi, hi = ms[i], g[i], eta[i]
-        if bits[i] == 0:
-            runs = ((gi + 2 * hi, m), (gi - hi, 2 * m))
-        else:
-            runs = ((gi + hi, 2 * m), (gi - 2 * hi, m))
-        v = y
-        for dec, count in runs:
-            for _ in range(count):
-                vals.append(v)
-                v -= dec
-        y -= 3 * m * gi
-    tail_dec = g[r - 1] - 2 * eta[r - 1]
-    v = y
-    while len(vals) < k and v > 0:
-        vals.append(v)
-        v -= tail_dec
-        if tail_dec == 0:
-            # flat positive tail: fill the rest at this height
-            while len(vals) < k:
-                vals.append(v)
-    vals.extend([0] * (k - len(vals)))
-    return vals
+    return _grid_at_scale(regime, bin_lengths, k, eps, bits, q)(scale)
 
 
 @lru_cache(maxsize=64)
@@ -312,17 +343,23 @@ def _convex_scale(
     r = len(bin_lengths)
     q = 49 + max(0, int(math.floor(math.log2(r))))
     target = 2**q
-    zeros = (0,) * r
+    grid_at = _grid_at_scale(regime, bin_lengths, k, eps, (0,) * r, q)
+
+    def mass(scale: float) -> int:
+        # exact: at the bracket top the atoms reach about 2**54, so an int64
+        # sum over a few hundred of them could wrap
+        return sum(grid_at(scale).tolist())
+
     lo, hi = 0.0, 4.0 / r
     for _ in range(4):
-        if sum(_convex_grid(regime, bin_lengths, k, eps, zeros, hi, q)) >= target:
+        if mass(hi) >= target:
             break
         hi *= 2.0
     else:
         raise InfeasibleSpec("could not normalize the convex construction")
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if sum(_convex_grid(regime, bin_lengths, k, eps, zeros, mid, q)) > target:
+        if mass(mid) > target:
             hi = mid
         else:
             lo = mid
@@ -347,7 +384,7 @@ def assouad_density(spec: HypercubeSpec) -> DiscreteDensity:
         ints = _convex_grid(
             spec.regime, spec.bin_lengths, spec.k, spec.epsilon, spec.theta, scale, q
         )
-        mass = np.array(ints, dtype=float) * 2.0**-q
+        mass = ints.astype(float) * 2.0**-q
     out = DiscreteDensity(k=spec.k, mass=mass)
     ok = is_convex_non_increasing(out) if spec.regime.is_convex() else is_non_increasing(out)
     if not ok:

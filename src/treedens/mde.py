@@ -6,10 +6,16 @@ pairwise comparison sets {x : f_i(x) > f_j(x)}.  The winner's TV loss is
 within a constant factor of the best candidate's, plus an empirical-process
 term, so selection costs little even when the candidate list mixes good and
 terrible estimates.
+
+The m candidates' comparison sets come from one (m, k) block of
+``vals[i] > vals`` per candidate i, packed to bits and deduplicated with
+``np.unique``.  Extra memory is O(m k) for one block plus the distinct
+sets; the (m, m, k) tensor of all pairs is never built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +45,11 @@ def _atom_matrix(candidates) -> np.ndarray:
             raise DomainMismatch(
                 f"candidate {i} lives on {row.shape[0]} atoms, candidate 0 on {k}"
             )
-    return np.stack(rows)
+    vals = np.stack(rows)
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if bad.size:
+        raise BadParam(f"candidate {bad[0]} has a non-finite atom value")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -78,26 +88,47 @@ class CandidateSet:
         return self.atom_values.shape[1]
 
 
+def _comparison_masks(vals: np.ndarray) -> np.ndarray:
+    """Distinct rows vals[i] > vals[j], i != j, as a (d, k) bool matrix.
+
+    Rows keep the order of their first appearance among the pairs in
+    lexicographic (i, j) order.  Candidate i's m - 1 comparisons are one
+    block: its distinct packed rows are found by ``np.unique`` and those not
+    seen in an earlier block are kept in the order of their first index.
+    """
+    m, k = vals.shape
+    if m < 2:
+        return np.zeros((0, k), dtype=bool)
+    if k == 0:
+        return np.zeros((1, 0), dtype=bool)
+    seen: set[bytes] = set()
+    out: list[np.ndarray] = []
+    for i in range(m):
+        block = np.delete(vals[i] > vals, i, axis=0)
+        packed = np.packbits(block, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first = np.unique(keys, return_index=True)
+        for row in np.sort(first).tolist():
+            key = keys[row].tobytes()
+            if key not in seen:
+                seen.add(key)
+                out.append(block[row])
+    return np.stack(out)
+
+
 def yatracos_class(cs: CandidateSet) -> list[frozenset[int]]:
     """All distinct comparison sets {x : f_i(x) > f_j(x)}, i != j.
 
-    Atoms are 1-based.  Pairs are visited in lexicographic (i, j) order and
-    each distinct set is kept at its first appearance, so the output order
-    is deterministic.  Fewer than two candidates compare nothing: [].
+    Atoms are 1-based Python ints.  Pairs are visited in lexicographic
+    (i, j) order and each distinct set is kept at its first appearance, so
+    the output order is deterministic.  Fewer than two candidates compare
+    nothing: [].  Extra memory is O(m k) for one candidate's block of
+    comparisons plus the distinct sets, never the (m, m, k) tensor.
     """
-    vals = cs.atom_values
-    m = vals.shape[0]
-    out: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            s = frozenset(np.flatnonzero(vals[i] > vals[j]) + 1)
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-    return out
+    return [
+        frozenset((np.flatnonzero(row) + 1).tolist())
+        for row in _comparison_masks(cs.atom_values)
+    ]
 
 
 def minimum_distance_estimate(cs: CandidateSet, sc: SampleCounts) -> int:
@@ -115,10 +146,11 @@ def minimum_distance_estimate(cs: CandidateSet, sc: SampleCounts) -> int:
     if not sets:
         return 0
     k = cs.k
+    sizes = [len(s) for s in sets]
+    rows = np.repeat(np.arange(len(sets)), sizes)
+    cols = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=len(rows))
     masks = np.zeros((len(sets), k))
-    for row, s in enumerate(sets):
-        if s:
-            masks[row, np.fromiter(s, dtype=np.int64) - 1] = 1.0
+    masks[rows, cols - 1] = 1.0
     emp = masks @ sc.frequencies()
     cand = masks @ cs.atom_values.T  # (num_sets, num_candidates)
     scores = np.abs(cand - emp[:, None]).max(axis=0)

@@ -316,6 +316,117 @@ def ref_sample_counts(mass, n: int, seed: int) -> np.ndarray:
     return ref_counts_from_uniforms(mass, u)
 
 
+# --- Yatracos class by the pairwise loop ------------------------------------
+
+
+def ref_yatracos_class(vals) -> list[frozenset]:
+    """Distinct sets {x : vals[i][x] > vals[j][x]} (1-based atoms), i != j.
+
+    Pairs are visited in lexicographic (i, j) order, one comparison at a
+    time, and each distinct set is kept at its first appearance.
+    """
+    vals = np.asarray(vals, dtype=float)
+    m = vals.shape[0]
+    out: list[frozenset] = []
+    seen: set[frozenset] = set()
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            s = frozenset(np.flatnonzero(vals[i] > vals[j]) + 1)
+            if s not in seen:
+                seen.add(s)
+                out.append(s)
+    return out
+
+
+# --- convex hypercube grid, one atom at a time -------------------------------
+
+
+def ref_convex_targets(large_k: bool, r: int, eps: float, scale: float):
+    """Real-valued bin anchor chain (beta_i) and dip sizes (Delta_i) of the
+    convex hypercube at a given overall scale."""
+    if large_k:
+        beta = [scale * (1.0 - eps) ** i for i in range(r + 1)]
+        delta = [eps * (beta[i] - beta[i + 1]) / 3.0 for i in range(r)]
+    else:
+        alpha = eps / r**3
+        beta = [scale]
+        for i in range(1, r + 1):
+            beta.append(beta[i - 1] - alpha / 2.0 - alpha * (r - i))
+        delta = [alpha / 6.0] * r
+    return beta, delta
+
+
+def ref_convex_grid(large_k: bool, bin_lengths, k: int, eps: float, bits, scale: float, q: int):
+    """Integer atom values (units of 2**-q) of one convex hypercube corner.
+
+    Per bin of length 3m, bit 0 steps down by g+2h for m atoms then g-h for
+    2m, bit 1 by g+h for 2m then g-2h for m.  The g-chain runs right to
+    left, g_i = max(want_i, g_{i+1} + 2h_{i+1} + 2h_i), and after the last
+    bin the value ramps down by the last decrement while it is positive.
+    Zeros fill the rest of the k atoms.
+    """
+    r = len(bin_lengths)
+    beta, delta = ref_convex_targets(large_k, r, eps, scale)
+    grid = float(2**q)
+    ms = [length // 3 for length in bin_lengths]
+    eta = [round(delta[i] * grid / (2.0 * ms[i])) for i in range(r)]
+    g = [0] * r
+    g[r - 1] = max(round((beta[r - 1] - beta[r]) * grid / (3.0 * ms[r - 1])), 2 * eta[r - 1])
+    for i in range(r - 2, -1, -1):
+        want = round((beta[i] - beta[i + 1]) * grid / (3.0 * ms[i]))
+        g[i] = max(want, g[i + 1] + 2 * eta[i + 1] + 2 * eta[i])
+    vals: list[int] = []
+    y = round(beta[0] * grid)
+    for i in range(r):
+        m, gi, hi = ms[i], g[i], eta[i]
+        if bits[i] == 0:
+            runs = ((gi + 2 * hi, m), (gi - hi, 2 * m))
+        else:
+            runs = ((gi + hi, 2 * m), (gi - 2 * hi, m))
+        v = y
+        for dec, count in runs:
+            for _ in range(count):
+                vals.append(v)
+                v -= dec
+        y -= 3 * m * gi
+    tail_dec = g[r - 1] - 2 * eta[r - 1]
+    v = y
+    while len(vals) < k and v > 0:
+        vals.append(v)
+        v -= tail_dec
+        if tail_dec == 0:
+            while len(vals) < k:
+                vals.append(v)
+    vals.extend([0] * (k - len(vals)))
+    return vals
+
+
+def ref_convex_scale(large_k: bool, bin_lengths, k: int, eps: float):
+    """(scale, q) that puts the all-zeros corner's total mass at 2**q, by
+    the bisection of the library over ref_convex_grid (None when the
+    bracket search fails)."""
+    r = len(bin_lengths)
+    q = 49 + max(0, int(math.floor(math.log2(r))))
+    target = 2**q
+    zeros = (0,) * r
+    lo, hi = 0.0, 4.0 / r
+    for _ in range(4):
+        if sum(ref_convex_grid(large_k, bin_lengths, k, eps, zeros, hi, q)) >= target:
+            break
+        hi *= 2.0
+    else:
+        return None
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if sum(ref_convex_grid(large_k, bin_lengths, k, eps, zeros, mid, q)) > target:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2.0, q
+
+
 # --- random shape generators (exact under the strict predicates) -------------
 
 

@@ -255,3 +255,32 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ell,m,vc\n1,4,2\n"
+
+
+def _fresh(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "treedens.cli", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_repeated_runs_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process; a usage error must not leave
+    # state behind that changes a later request or a repeated error
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+    bad = ["vc", "--ell", "0", "--m", "4"]
+    good = ["vc", "--ell", "2", "--m", "8"]
+    seen = [_in_process(capsys, argv) for argv in (bad, good, bad)]
+    assert seen[0][0] == 2 and seen[0][2].startswith("usage: treedens vc")
+    assert seen[1] == (0, "ell,m,vc\n2,8,4\n", "")
+    assert seen[2] == seen[0]
+    assert seen == [_fresh(argv) for argv in (bad, good, bad)]

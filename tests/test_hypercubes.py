@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ref_convex_grid, ref_convex_scale
 from treedens import (
     BadParam,
     HypercubeSpec,
@@ -16,6 +19,7 @@ from treedens import (
     is_convex_non_increasing,
     is_non_increasing,
 )
+from treedens.hypercubes import _convex_grid, _convex_scale, _triple_bins
 
 RNG = np.random.default_rng(2024)
 
@@ -142,3 +146,79 @@ def test_alpha_beta_formulas():
     alpha, beta = assouad_alpha_beta(spec)
     assert alpha == pytest.approx(spec.epsilon / spec.r, rel=1e-15)
     assert beta == pytest.approx(1 - spec.epsilon**2 / (2 * spec.r), rel=1e-15)
+
+
+# --- the numpy convex grid against the per-atom reference -------------------
+
+_EPS = st.one_of(st.floats(1e-9, 0.5), st.sampled_from([0.5, 0.25, 0.1, 1e-6]))
+
+
+@st.composite
+def _convex_layout(draw, small=False):
+    """(regime, bin_lengths, eps): both regimes' own bin layouts and
+    arbitrary multiples of 3 under either regime's targets."""
+    eps = draw(_EPS)
+    kind = draw(st.sampled_from(["convex-small-k", "convex-large-k", "arbitrary"]))
+    if kind == "convex-small-k":
+        r = draw(st.integers(1, 20 if small else 60))
+        return Regime.CONVEX_SMALL_K, (3,) * r, eps
+    if kind == "convex-large-k":
+        r = draw(st.integers(1, 6 if small else 10))
+        return Regime.CONVEX_LARGE_K, _triple_bins(r, eps), eps
+    lengths = tuple(
+        3 * m for m in draw(st.lists(st.integers(1, 12), min_size=1, max_size=15))
+    )
+    return draw(st.sampled_from([Regime.CONVEX_SMALL_K, Regime.CONVEX_LARGE_K])), lengths, eps
+
+
+def _q(r: int) -> int:
+    return 49 + int(math.floor(math.log2(r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=_convex_layout(), data=st.data())
+def test_convex_grid_equals_reference(layout, data):
+    regime, lengths, eps = layout
+    r, q = len(lengths), _q(len(lengths))
+    k = sum(lengths) + data.draw(st.integers(0, 40))
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
+    top = 32.0 / r
+    which = data.draw(st.sampled_from(["zero", "tuned", "top", "tie", "any"]))
+    if which == "zero":
+        scale = 0.0
+    elif which == "tuned":
+        try:
+            scale = _convex_scale(regime, lengths, k, eps)[0]
+        except InfeasibleSpec:
+            scale = top
+    elif which == "top":
+        scale = top
+    elif which == "tie":
+        # scale * 2**q is a half-integer: the rounding of the top atom is a tie
+        scale = (2 * data.draw(st.integers(0, 2**20)) + 1) * 2.0 ** -(q + 1)
+    else:
+        scale = data.draw(st.floats(0.0, top))
+    large = regime == Regime.CONVEX_LARGE_K
+    got = _convex_grid(regime, lengths, k, eps, bits, scale, q)
+    assert got.tolist() == ref_convex_grid(large, lengths, k, eps, bits, scale, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=_convex_layout(small=True), slack=st.integers(0, 30))
+def test_convex_scale_equals_reference(layout, slack):
+    regime, lengths, eps = layout
+    k = sum(lengths) + slack
+    want = ref_convex_scale(regime == Regime.CONVEX_LARGE_K, lengths, k, eps)
+    if want is None:
+        with pytest.raises(InfeasibleSpec):
+            _convex_scale(regime, lengths, k, eps)
+    else:
+        assert _convex_scale(regime, lengths, k, eps) == want
+
+
+def test_convex_grid_rounds_ties_to_even():
+    # scale * 2**q = 2.5 rounds to 2, as Python's round() does
+    q = _q(1)
+    grid = _convex_grid(Regime.CONVEX_SMALL_K, (3,), 3, 0.5, (0,), 2.5 * 2.0**-q, q)
+    assert grid[0] == 2
+    assert grid.tolist() == ref_convex_grid(False, (3,), 3, 0.5, (0,), 2.5 * 2.0**-q, q)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ref_yatracos_class
 from treedens import (
     BadParam,
     CandidateSet,
@@ -30,6 +33,62 @@ def test_candidate_set_validation():
         CandidateSet([family("uniform", 4), family("uniform", 5)])
     with pytest.raises(BadParam):
         CandidateSet([family("uniform", 4)], labels=["a", "b"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_candidate_set_rejects_non_finite_values(bad):
+    with pytest.raises(BadParam, match="candidate 0"):
+        CandidateSet([np.array([bad, 0.5, 0.25, 0.25]), family("uniform", 4).mass])
+    with pytest.raises(BadParam, match="candidate 1"):
+        CandidateSet([family("uniform", 4), np.array([0.25, 0.25, 0.5, bad])])
+
+
+@st.composite
+def _atom_rows(draw):
+    """(m, k) candidate values: small integers (many ties), -0.0 beside
+    0.0, and duplicate candidates."""
+    m = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 64))
+    levels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.integers(0, levels, size=(m, k)).astype(float)
+    vals[(vals == 0.0) & (rng.random((m, k)) < 0.5)] = -0.0
+    for i in range(1, m):
+        if rng.random() < 0.25:
+            vals[i] = vals[rng.integers(0, i)]
+    return vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=_atom_rows())
+def test_yatracos_equals_pairwise_reference(vals):
+    sets = yatracos_class(CandidateSet(list(vals)))
+    assert sets == ref_yatracos_class(vals)
+    assert all(type(x) is int for s in sets for x in s)
+
+
+def _ref_selection(vals, sc) -> int:
+    # the score matrix built one set at a time from the reference sets
+    sets = ref_yatracos_class(vals)
+    if not sets:
+        return 0
+    masks = np.zeros((len(sets), vals.shape[1]))
+    for row, s in enumerate(sets):
+        if s:
+            masks[row, np.fromiter(s, dtype=np.int64) - 1] = 1.0
+    emp = masks @ sc.frequencies()
+    scores = np.abs(masks @ vals.T - emp[:, None]).max(axis=0)
+    return int(np.flatnonzero(scores <= scores.min() + 1e-12)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(vals=_atom_rows(), data=st.data())
+def test_selection_equals_reference(vals, data):
+    k = vals.shape[1]
+    counts = data.draw(st.lists(st.integers(0, 20), min_size=k, max_size=k).filter(any))
+    sc = SampleCounts(k=k, n=sum(counts), counts=np.array(counts))
+    vals = vals / max(1.0, vals.sum(axis=1).max())
+    assert minimum_distance_estimate(CandidateSet(list(vals)), sc) == _ref_selection(vals, sc)
 
 
 def test_yatracos_identical_candidates():

@@ -139,6 +139,52 @@ def test_idealized_builders_match_oracles_on_random_shapes(seed, k, n):
     )
 
 
+def _assert_tiles_padded_domain(t, k):
+    spans = t.leaf_intervals()
+    assert t.padded_k == pad_to_power(k, t.arity)
+    assert spans[0][0] == 1
+    assert all(s + l == s2 for (s, l), (s2, _) in zip(spans, spans[1:]))
+    assert spans[-1][0] + spans[-1][1] - 1 == t.padded_k
+    # every leaf is a node of the arity-ary tree: a power-of-arity block
+    # aligned to its own length
+    for s, l in spans:
+        assert pad_to_power(l, t.arity) == l and (s - 1) % l == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(
+        st.one_of(st.integers(0, 5), st.integers(0, 10**9)), min_size=1, max_size=100
+    ).filter(any),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10**9),
+)
+def test_leaves_tile_the_padded_domain(counts, seed, n):
+    k = len(counts)
+    sc = SampleCounts(k=k, n=sum(counts), counts=np.array(counts))
+    _assert_tiles_padded_domain(build_greedy_binary(sc), k)
+    _assert_tiles_padded_domain(build_greedy_ternary(sc), k)
+    rng = np.random.default_rng(seed)
+    f = make_density(random_monotone_mass(rng, k))
+    _assert_tiles_padded_domain(build_idealized_binary(f, n), k)
+    if k >= 2:
+        g = make_density(random_convex_mass(rng, k))
+        _assert_tiles_padded_domain(build_idealized_ternary(g, n), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.lists(
+        st.one_of(st.integers(0, 5), st.integers(0, 10**9)), min_size=1, max_size=100
+    ).filter(any)
+)
+def test_histogram_mass_at_most_one(counts):
+    # k = len(counts) is a power of the arity or not: padded leaves lose mass
+    sc = SampleCounts(k=len(counts), n=sum(counts), counts=np.array(counts))
+    for t in (build_greedy_binary(sc), build_greedy_ternary(sc)):
+        assert histogram_estimate(t, sc).total_mass() <= 1.0
+
+
 def test_idealized_tree_uniform_single_leaf():
     t = build_idealized_binary(family("uniform", 16), 1000)
     assert t.leaf_intervals() == [(1, 16)]
