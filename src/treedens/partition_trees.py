@@ -14,20 +14,26 @@ The estimates are piecewise functions over the leaf intervals, truncated
 back to {1, ..., k}.  Truncation can shave off mass that a boundary leaf
 spread onto padded atoms, so estimates built on a padded domain may be
 sub-normalized; each builder takes a renormalize flag (default off) to
-rescale explicitly instead of hiding the adjustment.
+rescale explicitly instead of hiding the adjustment.  Like a tree, an
+estimate is flat data: one tuple per piece field (starts, lengths, linear
+flags, values, slopes, intercepts), each value kept exactly as given.  The
+builders and monotonize read and write those columns; Piece records are
+made only when an estimate's .pieces is read.
 
 monotonize pools adjacent violators in exact arithmetic: the piece values
 become integers on one common binary scale, so merged averages are
-correctly rounded and independent of merge order.
+correctly rounded and independent of merge order.  Values that are
+already non-increasing are returned as they are, without the scan.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from functools import cached_property
+from operator import ge
 
 import numpy as np
 
@@ -263,22 +269,35 @@ class Piece:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PiecewiseEstimate:
     """A density estimate given piecewise over {1, ..., domain_k}.
 
-    The constructor checks that the pieces tile the domain consecutively.
-    It does not police value signs: the estimators here produce values
-    >= 0 up to float error at the scales they are specified for, and that
-    property is asserted in tests rather than silently repaired.
+    The estimate is kept flat, one tuple per piece field in left-to-right
+    order: starts, lengths, linear (True for a line slope*x + intercept,
+    False for a constant), values, slopes and intercepts.  Every field is
+    kept exactly as given, so a Python int value stays an int, and Piece
+    records are built only when .pieces is read.  Equality and hashing
+    compare the domain and the columns, which is the same as comparing
+    the pieces.
+
+    PiecewiseEstimate(domain_k, pieces) checks that the pieces tile the
+    domain consecutively.  It does not police value signs: the estimators
+    here produce values >= 0 up to float error at the scales they are
+    specified for, and that property is asserted in tests rather than
+    silently repaired.
     """
 
     domain_k: int
-    pieces: tuple[Piece, ...]
+    starts: tuple[int, ...]
+    lengths: tuple[int, ...]
+    linear: tuple[bool, ...]
+    values: tuple
+    slopes: tuple
+    intercepts: tuple
 
-    def __post_init__(self):
-        pieces = tuple(self.pieces)
-        object.__setattr__(self, "pieces", pieces)
+    def __init__(self, domain_k: int, pieces):
+        pieces = tuple(pieces)
         if not pieces:
             raise BadParam("an estimate needs at least one piece")
         pos = 1
@@ -286,48 +305,95 @@ class PiecewiseEstimate:
             if p.start != pos:
                 raise BadParam(f"piece at {p.start} breaks the tiling (expected {pos})")
             pos += p.length
-        if pos != self.domain_k + 1:
-            raise BadParam(f"pieces cover 1..{pos - 1}, domain is 1..{self.domain_k}")
+        if pos != domain_k + 1:
+            raise BadParam(f"pieces cover 1..{pos - 1}, domain is 1..{domain_k}")
+        self.__dict__.update(
+            domain_k=domain_k,
+            starts=tuple(p.start for p in pieces),
+            lengths=tuple(p.length for p in pieces),
+            linear=tuple(p.kind == "linear" for p in pieces),
+            values=tuple(p.value for p in pieces),
+            slopes=tuple(p.slope for p in pieces),
+            intercepts=tuple(p.intercept for p in pieces),
+            pieces=pieces,
+        )
+
+    @classmethod
+    def _from_columns(cls, domain_k, starts, lengths, linear, values, slopes, intercepts):
+        """An estimate from columns that already tile 1..domain_k, unchecked."""
+        est = cls.__new__(cls)
+        est.__dict__.update(
+            domain_k=domain_k,
+            starts=starts,
+            lengths=lengths,
+            linear=linear,
+            values=values,
+            slopes=slopes,
+            intercepts=intercepts,
+        )
+        return est
+
+    @classmethod
+    def from_atom_values(cls, domain_k: int, values) -> PiecewiseEstimate:
+        """One constant piece per atom, with value float(values[x - 1])."""
+        values = tuple(map(float, np.asarray(values).tolist()))
+        m = len(values)
+        if not m:
+            raise BadParam("an estimate needs at least one piece")
+        if m != domain_k:
+            raise BadParam(f"pieces cover 1..{m}, domain is 1..{domain_k}")
+        zeros = (0.0,) * m
+        return cls._from_columns(
+            domain_k, tuple(range(1, m + 1)), (1,) * m, (False,) * m, values, zeros, zeros
+        )
+
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        """The pieces as Piece records, built on first read."""
+        return tuple(
+            Piece(s, l, "linear" if lin else "constant", v, sl, ic)
+            for s, l, lin, v, sl, ic in zip(
+                self.starts, self.lengths, self.linear,
+                self.values, self.slopes, self.intercepts,
+            )
+        )
+
+    def __repr__(self) -> str:
+        return f"PiecewiseEstimate(domain_k={self.domain_k!r}, pieces={self.pieces!r})"
 
     def atom_values(self) -> np.ndarray:
         """Per-atom values over 1..domain_k, equal to concatenating each
         piece's atom_values()."""
-        pieces = self.pieces
-        lengths = [p.length for p in pieces]
-        vals = np.repeat([p.value for p in pieces], lengths)
-        linear = [p.kind == "linear" for p in pieces]
-        if any(linear):
+        # ndarray.repeat: np.repeat of a tuple costs twice as much
+        reps = np.array(self.lengths)
+        vals = np.array(self.values).repeat(reps)
+        if any(self.linear):
             x = np.arange(1, self.domain_k + 1, dtype=float)
-            slope = np.repeat([p.slope for p in pieces], lengths)
-            intercept = np.repeat([p.intercept for p in pieces], lengths)
-            vals = np.where(np.repeat(linear, lengths), slope * x + intercept, vals)
+            slope = np.array(self.slopes).repeat(reps)
+            intercept = np.array(self.intercepts).repeat(reps)
+            vals = np.where(np.array(self.linear).repeat(reps), slope * x + intercept, vals)
         return vals
-
-    @cached_property
-    def _starts(self) -> list[int]:
-        return [p.start for p in self.pieces]
 
     def __call__(self, x: int) -> float:
         if not 1 <= x <= self.domain_k:
             raise DomainMismatch(f"atom {x} outside 1..{self.domain_k}")
-        p = self.pieces[bisect_right(self._starts, x) - 1]
-        if p.kind == "constant":
-            return p.value
-        return p.slope * x + p.intercept
+        i = bisect_right(self.starts, x) - 1
+        if self.linear[i]:
+            return self.slopes[i] * x + self.intercepts[i]
+        return self.values[i]
 
     def total_mass(self) -> float:
         return math.fsum(self.atom_values().tolist())
 
     def to_json(self) -> str:
         out = []
-        for p in self.pieces:
-            d = {"start": p.start, "len": p.length, "kind": p.kind}
-            if p.kind == "constant":
-                d["value"] = p.value
+        for s, l, lin, v, sl, ic in zip(
+            self.starts, self.lengths, self.linear, self.values, self.slopes, self.intercepts
+        ):
+            if lin:
+                out.append({"start": s, "len": l, "kind": "linear", "slope": sl, "intercept": ic})
             else:
-                d["slope"] = p.slope
-                d["intercept"] = p.intercept
-            out.append(d)
+                out.append({"start": s, "len": l, "kind": "constant", "value": v})
         return json.dumps({"domain_k": self.domain_k, "pieces": out})
 
     def to_csv(self) -> str:
@@ -337,16 +403,25 @@ class PiecewiseEstimate:
         return "\n".join(lines) + "\n"
 
 
-def _truncate(pieces: list[Piece], k: int) -> list[Piece]:
-    out = []
-    for p in pieces:
-        if p.start > k:
-            break
-        if p.start + p.length - 1 > k:
-            out.append(replace(p, length=k - p.start + 1))
-        else:
-            out.append(p)
-    return out
+def _cut(k: int, starts, lengths, linear, values, slopes, intercepts) -> PiecewiseEstimate:
+    """The estimate of columns that tile 1..padded_k, cut back to 1..k:
+    pieces starting past k are dropped and the one across k is shortened."""
+    m = bisect_right(starts, k)
+    return PiecewiseEstimate._from_columns(
+        k,
+        tuple(starts[:m]),
+        (*lengths[: m - 1], k - starts[m - 1] + 1),
+        tuple(linear[:m]),
+        tuple(values[:m]),
+        tuple(slopes[:m]),
+        tuple(intercepts[:m]),
+    )
+
+
+def _cut_constant(k: int, starts, lengths, values) -> PiecewiseEstimate:
+    """_cut for constant pieces, whose slopes and intercepts are 0.0."""
+    zeros = (0.0,) * len(values)
+    return _cut(k, starts, lengths, (False,) * len(values), values, zeros, zeros)
 
 
 def _scaled(est: PiecewiseEstimate, renormalize: bool) -> PiecewiseEstimate:
@@ -356,11 +431,15 @@ def _scaled(est: PiecewiseEstimate, renormalize: bool) -> PiecewiseEstimate:
     if mass <= 0.0:
         raise BadParam("cannot renormalize an estimate with no mass")
     c = 1.0 / mass
-    scaled = tuple(
-        replace(p, value=p.value * c, slope=p.slope * c, intercept=p.intercept * c)
-        for p in est.pieces
+    return PiecewiseEstimate._from_columns(
+        est.domain_k,
+        est.starts,
+        est.lengths,
+        est.linear,
+        tuple(v * c for v in est.values),
+        tuple(v * c for v in est.slopes),
+        tuple(v * c for v in est.intercepts),
     )
-    return PiecewiseEstimate(est.domain_k, scaled)
 
 
 def _check_tree_counts(t: PartitionTree, sc: SampleCounts):
@@ -383,15 +462,13 @@ def histogram_estimate(
     """Leaf-interval histogram: each leaf gets its count spread uniformly
     over the leaf's full padded width."""
     _check_tree_counts(t, sc)
-    if sc.n < 1:
+    n = sc.n
+    if n < 1:
         raise BadParam("need at least one sample")
     starts, lengths = zip(*t.spans)
     counts = _leaf_totals(_cumulative(sc.counts), starts, lengths)
-    pieces = [
-        Piece(s, l, "constant", value=c / (sc.n * l))
-        for s, l, c in zip(starts, lengths, counts)
-    ]
-    return _scaled(PiecewiseEstimate(sc.k, tuple(_truncate(pieces, sc.k))), renormalize)
+    values = [c / (n * l) for l, c in zip(lengths, counts)]
+    return _scaled(_cut_constant(sc.k, starts, lengths, values), renormalize)
 
 
 def _atom(values: np.ndarray, x: int):
@@ -407,22 +484,21 @@ def idealized_pc_estimate(
     _check_tree_density(t, f)
     starts, lengths = zip(*t.spans)
     masses = _leaf_totals(_cumulative(f.mass), starts, lengths)
-    pieces = [
-        Piece(s, l, "constant", value=_atom(f.mass, s) if l == 1 else m / l)
-        for s, l, m in zip(starts, lengths, masses)
+    values = [
+        _atom(f.mass, s) if l == 1 else m / l for s, l, m in zip(starts, lengths, masses)
     ]
-    return _scaled(PiecewiseEstimate(f.k, tuple(_truncate(pieces, f.k))), renormalize)
+    return _scaled(_cut_constant(f.k, starts, lengths, values), renormalize)
 
 
 def _outer_thirds(values: np.ndarray, t: PartitionTree):
     """Per leaf: (start, length, third, left-third total, right-third total).
     Singleton leaves have third 0 and zero totals."""
-    cum = _cumulative(values)
     starts, lengths = zip(*t.spans)
     thirds = [l // 3 for l in lengths]
-    left = _leaf_totals(cum, starts, thirds)
-    right = _leaf_totals(cum, [s + 2 * d for s, d in zip(starts, thirds)], thirds)
-    return zip(starts, lengths, thirds, left, right)
+    rights = [s + 2 * d for s, d in zip(starts, thirds)]
+    totals = _leaf_totals(_cumulative(values), [*starts, *rights], thirds * 2)
+    m = len(starts)
+    return zip(starts, lengths, thirds, totals[:m], totals[m:])
 
 
 def _fitted_line(start: int, third: int, avg_left: float, avg_right: float):
@@ -432,6 +508,18 @@ def _fitted_line(start: int, third: int, avg_left: float, avg_right: float):
     slope = (avg_right - avg_left) / (2.0 * third)
     intercept = avg_left - slope * mid_left
     return slope, intercept
+
+
+# The piece rows the line-fit builders collect, in the column order
+# (start, length, linear, value, slope, intercept).
+
+
+def _constant_row(start: int, length: int, value) -> tuple:
+    return (start, length, False, value, 0.0, 0.0)
+
+
+def _linear_row(start: int, length: int, slope: float, intercept: float) -> tuple:
+    return (start, length, True, 0.0, slope, intercept)
 
 
 def idealized_pl_estimate(
@@ -444,37 +532,37 @@ def idealized_pl_estimate(
     _check_tree_density(t, f)
     if t.arity != 3:
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
-    pieces = []
+    rows = []
     for start, length, third, left, right in _outer_thirds(f.mass, t):
         if length == 1:
-            pieces.append(Piece(start, 1, "constant", value=_atom(f.mass, start)))
+            rows.append(_constant_row(start, 1, _atom(f.mass, start)))
             continue
         slope, intercept = _fitted_line(start, third, left / third, right / third)
-        pieces.append(Piece(start, length, "linear", slope=slope, intercept=intercept))
-    return _scaled(PiecewiseEstimate(f.k, tuple(_truncate(pieces, f.k))), renormalize)
+        rows.append(_linear_row(start, length, slope, intercept))
+    return _scaled(_cut(f.k, *zip(*rows)), renormalize)
 
 
-def _clamped_linear(start: int, length: int, slope: float, intercept: float) -> list[Piece]:
+def _clamped_linear(start: int, length: int, slope: float, intercept: float) -> list[tuple]:
     """Split a fitted line into a linear part and a zero ledge where it goes
     negative.  The line is >= 0 between the two fitted midpoints, so the
     negative atoms form a run at one end of the leaf.  Rounding is
-    monotone, so the computed values are monotone in x too, and a line
-    that is not negative at either end is negative nowhere."""
+    monotone, so the computed values are monotone in x too: a line that
+    is not negative at either end is negative nowhere, and the run's end
+    can be found by bisection."""
     last = start + length - 1
     if not (slope * start + intercept < 0.0 or slope * last + intercept < 0.0):
-        return [Piece(start, length, "linear", slope=slope, intercept=intercept)]
-    x = np.arange(start, start + length, dtype=float)
-    neg = slope * x + intercept < 0.0
+        return [_linear_row(start, length, slope, intercept)]
+    atoms = range(start, start + length)
     if slope < 0.0:
-        keep = int(np.argmax(neg))
+        keep = bisect_left(atoms, True, key=lambda x: slope * x + intercept < 0.0)
         return [
-            Piece(start, keep, "linear", slope=slope, intercept=intercept),
-            Piece(start + keep, length - keep, "constant", value=0.0),
+            _linear_row(start, keep, slope, intercept),
+            _constant_row(start + keep, length - keep, 0.0),
         ]
-    keep = int(np.argmax(neg[::-1]))
+    ledge = bisect_left(atoms, True, key=lambda x: slope * x + intercept >= 0.0)
     return [
-        Piece(start, length - keep, "constant", value=0.0),
-        Piece(start + length - keep, keep, "linear", slope=slope, intercept=intercept),
+        _constant_row(start, ledge, 0.0),
+        _linear_row(start + ledge, length - ledge, slope, intercept),
     ]
 
 
@@ -488,18 +576,19 @@ def greedy_pl_estimate(
     _check_tree_counts(t, sc)
     if t.arity != 3:
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
-    if sc.n < 1:
+    n = sc.n
+    if n < 1:
         raise BadParam("need at least one sample")
-    pieces: list[Piece] = []
+    rows = []
     for start, length, third, left, right in _outer_thirds(sc.counts, t):
         if length == 1:
-            pieces.append(Piece(start, 1, "constant", value=_atom(sc.counts, start) / sc.n))
+            rows.append(_constant_row(start, 1, _atom(sc.counts, start) / n))
             continue
-        avg_left = left / (sc.n * third)
-        avg_right = right / (sc.n * third)
+        avg_left = left / (n * third)
+        avg_right = right / (n * third)
         slope, intercept = _fitted_line(start, third, avg_left, avg_right)
-        pieces.extend(_clamped_linear(start, length, slope, intercept))
-    return _scaled(PiecewiseEstimate(sc.k, tuple(_truncate(pieces, sc.k))), renormalize)
+        rows += _clamped_linear(start, length, slope, intercept)
+    return _scaled(_cut(sc.k, *zip(*rows)), renormalize)
 
 
 def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
@@ -510,17 +599,27 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
     To honor that uniqueness in floats, the pooling arithmetic is exact:
     every value is an integer over one common power-of-two denominator,
     so block totals are Python ints.  Pieces that survive unmerged keep
-    their float value bit for bit, and a merged block rounds once at the
-    end, by correctly rounded integer division.
+    their value exactly as given, and a merged block rounds once at the
+    end, by correctly rounded integer division.  Values that are already
+    finite and non-increasing are the fixed point and skip the pooling.
+    The result's pieces are constant with zero slope and intercept.
     """
-    if any(p.kind != "constant" for p in e.pieces):
+    if any(e.linear):
         raise NotPiecewiseConstant("monotonize applies to piecewise-constant estimates")
-    ratios = [p.value.as_integer_ratio() for p in e.pieces]
+    values, lengths = e.values, e.lengths
+    zeros = (0.0,) * len(values)
+    # inf and NaN values fail these comparisons and go on to raise in
+    # as_integer_ratio below
+    if values[0] < math.inf and values[-1] > -math.inf and all(map(ge, values, values[1:])):
+        return PiecewiseEstimate._from_columns(
+            e.domain_k, e.starts, lengths, e.linear, values, zeros, zeros
+        )
+    ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)
     # block: [first piece index, last piece index, atom length, total * den]
     blocks: list[list] = []
-    for idx, (p, (num, d)) in enumerate(zip(e.pieces, ratios)):
-        blocks.append([idx, idx, p.length, num * (den // d) * p.length])
+    for idx, (length, (num, d)) in enumerate(zip(lengths, ratios)):
+        blocks.append([idx, idx, length, num * (den // d) * length])
         while len(blocks) >= 2:
             a, b = blocks[-2], blocks[-1]
             if a[3] * b[2] < b[3] * a[2]:  # average(a) < average(b): violation
@@ -528,13 +627,16 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
                 blocks.pop()
             else:
                 break
-    out = []
+    # lists, then tuples: tuple() of a generator resizes as it fills, which
+    # raised the peak RSS of long risk runs by about 2 MB
+    starts, sizes, out = [], [], []
     pos = 1
     for first, last, length, total in blocks:
-        if first == last:
-            value = e.pieces[first].value
-        else:
-            value = total / (den * length)
-        out.append(Piece(pos, length, "constant", value=value))
+        starts.append(pos)
+        sizes.append(length)
+        out.append(values[first] if first == last else total / (den * length))
         pos += length
-    return PiecewiseEstimate(e.domain_k, tuple(out))
+    m = len(blocks)
+    return PiecewiseEstimate._from_columns(
+        e.domain_k, tuple(starts), tuple(sizes), (False,) * m, tuple(out), zeros[:m], zeros[:m]
+    )

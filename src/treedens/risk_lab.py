@@ -31,6 +31,7 @@ from .errors import (
 from .hypercubes import HypercubeSpec, Regime, assouad_default_params, assouad_density
 from .metrics import tv
 from .partition_trees import (
+    PiecewiseEstimate,
     build_greedy_binary,
     build_greedy_ternary,
     build_idealized_binary,
@@ -128,15 +129,9 @@ def fit_estimate(name: str, f: DiscreteDensity, sc: SampleCounts):
     functions above are the throwaway per-replication view of the same
     fits; this is the inspectable one the CLI serializes.
     """
-    from .partition_trees import Piece, PiecewiseEstimate
-
     if name == "oracle" or name == "empirical-histogram":
         vals = f.mass if name == "oracle" else sc.frequencies()
-        pieces = tuple(
-            Piece(start=i + 1, length=1, kind="constant", value=float(v))
-            for i, v in enumerate(vals.tolist())
-        )
-        return None, PiecewiseEstimate(f.k, pieces)
+        return None, PiecewiseEstimate.from_atom_values(f.k, vals)
     if name == "greedy-binary":
         t = build_greedy_binary(sc)
         return t, histogram_estimate(t, sc)

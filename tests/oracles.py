@@ -1,19 +1,26 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written the slow, obvious way on purpose: python loops,
-Fractions, exhaustive enumeration.  Nothing imports from treedens, so an
+Fractions, exhaustive enumeration.  Nothing computes with treedens, so an
 agreement between a library result and an oracle result is evidence, not
-circularity.  These were written against the definitions before the fast
-paths existed and stay frozen.
+circularity.  The one import is of its record types: the piecewise
+estimate references build Piece records and PiecewiseEstimate values
+through the checked public constructor, so that their results compare
+with the library's by ==.  These were written against the definitions
+before the fast paths existed and stay frozen.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from treedens import BadParam, DomainMismatch, Piece, PiecewiseEstimate
 
 
 # --- total variation by explicit event enumeration -------------------------
@@ -425,6 +432,194 @@ def ref_convex_scale(large_k: bool, bin_lengths, k: int, eps: float):
         else:
             lo = mid
     return (lo + hi) / 2.0, q
+
+
+# --- piecewise estimates built one Piece at a time --------------------------
+#
+# The estimate builders as they were before estimates went flat: one Piece
+# record per leaf (two where a fitted line is clamped), then truncation and
+# rescaling piece by piece.  They read the library's tree (arity, padded_k,
+# spans), counts (k, n, counts) and density (k, mass) objects.
+
+
+def ref_atom_values(pieces) -> np.ndarray:
+    """Per-atom values: each piece's own atom_values(), concatenated."""
+    return np.concatenate([p.atom_values() for p in pieces])
+
+
+def ref_total_mass(pieces) -> float:
+    return math.fsum(ref_atom_values(pieces).tolist())
+
+
+def ref_to_json(domain_k: int, pieces) -> str:
+    out = []
+    for p in pieces:
+        d = {"start": p.start, "len": p.length, "kind": p.kind}
+        if p.kind == "constant":
+            d["value"] = p.value
+        else:
+            d["slope"] = p.slope
+            d["intercept"] = p.intercept
+        out.append(d)
+    return json.dumps({"domain_k": domain_k, "pieces": out})
+
+
+def ref_to_csv(pieces) -> str:
+    lines = ["x,value"]
+    lines.extend(f"{x + 1},{v!r}" for x, v in enumerate(ref_atom_values(pieces).tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def ref_eval(pieces, x: int):
+    """The value at atom x of the piece that covers it, by linear search."""
+    for p in pieces:
+        if p.start <= x < p.start + p.length:
+            return p.value if p.kind == "constant" else p.slope * x + p.intercept
+    raise ValueError(f"no piece covers {x}")
+
+
+def _ref_check_tree(t, k: int, what: str) -> None:
+    if _pad(k, t.arity) != t.padded_k:
+        raise DomainMismatch(
+            f"tree over {t.padded_k} padded atoms does not match {what} on 1..{k}"
+        )
+
+
+def _ref_interval_totals(values, intervals) -> list:
+    """Sum over each (start, length) interval, clipped at k, as the
+    difference of two cumulative sums: the float expression the library
+    evaluates, one interval at a time."""
+    values = np.asarray(values)
+    cum = np.concatenate([np.zeros(1, values.dtype), np.cumsum(values)])
+    k = values.size
+    out = []
+    for start, length in intervals:
+        lo = min(start - 1, k)
+        hi = min(lo + length, k)
+        out.append((cum[hi] - cum[lo]).item())
+    return out
+
+
+def _ref_atom(values, x: int):
+    values = np.asarray(values)
+    return values[x - 1].item() if x <= values.size else 0.0
+
+
+def ref_truncate(pieces, k: int) -> list:
+    out = []
+    for p in pieces:
+        if p.start > k:
+            break
+        if p.start + p.length - 1 > k:
+            out.append(replace(p, length=k - p.start + 1))
+        else:
+            out.append(p)
+    return out
+
+
+def ref_scaled(est, renormalize: bool):
+    if not renormalize:
+        return est
+    mass = ref_total_mass(est.pieces)
+    if mass <= 0.0:
+        raise BadParam("cannot renormalize an estimate with no mass")
+    c = 1.0 / mass
+    scaled = tuple(
+        replace(p, value=p.value * c, slope=p.slope * c, intercept=p.intercept * c)
+        for p in est.pieces
+    )
+    return PiecewiseEstimate(est.domain_k, scaled)
+
+
+def ref_histogram_estimate(t, sc, renormalize: bool = False):
+    _ref_check_tree(t, sc.k, "counts")
+    if sc.n < 1:
+        raise BadParam("need at least one sample")
+    counts = _ref_interval_totals(sc.counts, t.spans)
+    pieces = [
+        Piece(s, l, "constant", value=c / (sc.n * l)) for (s, l), c in zip(t.spans, counts)
+    ]
+    return ref_scaled(PiecewiseEstimate(sc.k, tuple(ref_truncate(pieces, sc.k))), renormalize)
+
+
+def ref_idealized_pc_estimate(t, f, renormalize: bool = False):
+    _ref_check_tree(t, f.k, "density")
+    masses = _ref_interval_totals(f.mass, t.spans)
+    pieces = [
+        Piece(s, l, "constant", value=_ref_atom(f.mass, s) if l == 1 else m / l)
+        for (s, l), m in zip(t.spans, masses)
+    ]
+    return ref_scaled(PiecewiseEstimate(f.k, tuple(ref_truncate(pieces, f.k))), renormalize)
+
+
+def _ref_outer_thirds(values, t):
+    """Per leaf: (start, length, third, left-third total, right-third total)."""
+    out = []
+    for start, length in t.spans:
+        third = length // 3
+        left, right = _ref_interval_totals(
+            values, [(start, third), (start + 2 * third, third)]
+        )
+        out.append((start, length, third, left, right))
+    return out
+
+
+def _ref_line(start: int, third: int, avg_left: float, avg_right: float):
+    mid_left = start + (third - 1) / 2.0
+    slope = (avg_right - avg_left) / (2.0 * third)
+    return slope, avg_left - slope * mid_left
+
+
+def ref_idealized_pl_estimate(t, f, renormalize: bool = False):
+    _ref_check_tree(t, f.k, "density")
+    if t.arity != 3:
+        raise DomainMismatch("piecewise-linear estimates need a ternary tree")
+    pieces = []
+    for start, length, third, left, right in _ref_outer_thirds(f.mass, t):
+        if length == 1:
+            pieces.append(Piece(start, 1, "constant", value=_ref_atom(f.mass, start)))
+            continue
+        slope, intercept = _ref_line(start, third, left / third, right / third)
+        pieces.append(Piece(start, length, "linear", slope=slope, intercept=intercept))
+    return ref_scaled(PiecewiseEstimate(f.k, tuple(ref_truncate(pieces, f.k))), renormalize)
+
+
+def ref_clamped_linear(start: int, length: int, slope: float, intercept: float) -> list:
+    """The line as one linear piece, or split by a zero ledge over the run
+    of atoms where it is negative, found by evaluating every atom."""
+    x = np.arange(start, start + length, dtype=float)
+    neg = slope * x + intercept < 0.0
+    if not neg.any():
+        return [Piece(start, length, "linear", slope=slope, intercept=intercept)]
+    if slope < 0.0:
+        keep = int(np.argmax(neg))
+        return [
+            Piece(start, keep, "linear", slope=slope, intercept=intercept),
+            Piece(start + keep, length - keep, "constant", value=0.0),
+        ]
+    keep = int(np.argmax(neg[::-1]))
+    return [
+        Piece(start, length - keep, "constant", value=0.0),
+        Piece(start + length - keep, keep, "linear", slope=slope, intercept=intercept),
+    ]
+
+
+def ref_greedy_pl_estimate(t, sc, renormalize: bool = False):
+    _ref_check_tree(t, sc.k, "counts")
+    if t.arity != 3:
+        raise DomainMismatch("piecewise-linear estimates need a ternary tree")
+    if sc.n < 1:
+        raise BadParam("need at least one sample")
+    pieces = []
+    for start, length, third, left, right in _ref_outer_thirds(sc.counts, t):
+        if length == 1:
+            pieces.append(Piece(start, 1, "constant", value=_ref_atom(sc.counts, start) / sc.n))
+            continue
+        avg_left = left / (sc.n * third)
+        avg_right = right / (sc.n * third)
+        slope, intercept = _ref_line(start, third, avg_left, avg_right)
+        pieces.extend(ref_clamped_linear(start, length, slope, intercept))
+    return ref_scaled(PiecewiseEstimate(sc.k, tuple(ref_truncate(pieces, sc.k))), renormalize)
 
 
 # --- random shape generators (exact under the strict predicates) -------------

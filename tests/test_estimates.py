@@ -1,0 +1,351 @@
+"""Flat piecewise estimates against the Piece-by-Piece reference builders.
+
+The library keeps an estimate as per-piece columns and builds Piece
+records only when .pieces is read; tests/oracles.py keeps the builders
+that made one Piece per leaf.  Every observable of the two must agree
+exactly: ==, hash, the pieces, atom values (bytes and dtype), JSON and
+CSV bytes, the value at every atom and the total mass.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    ref_atom_values,
+    ref_eval,
+    ref_greedy_pl_estimate,
+    ref_histogram_estimate,
+    ref_idealized_pc_estimate,
+    ref_idealized_pl_estimate,
+    ref_monotonize,
+    ref_to_csv,
+    ref_to_json,
+    ref_total_mass,
+)
+from treedens import (
+    BadParam,
+    PartitionTree,
+    Piece,
+    PiecewiseEstimate,
+    SampleCounts,
+    TreedensError,
+    fit_estimate,
+    family,
+    greedy_pl_estimate,
+    histogram_estimate,
+    idealized_pc_estimate,
+    idealized_pl_estimate,
+    make_density,
+    mc_risk,
+    monotonize,
+    pad_to_power,
+    sample,
+)
+from treedens.cli import run
+
+DATA = Path(__file__).parent / "data"
+
+# (library builder, reference builder, reads the counts rather than the density)
+BUILDERS = (
+    (histogram_estimate, ref_histogram_estimate, True),
+    (greedy_pl_estimate, ref_greedy_pl_estimate, True),
+    (idealized_pc_estimate, ref_idealized_pc_estimate, False),
+    (idealized_pl_estimate, ref_idealized_pl_estimate, False),
+)
+
+
+def assert_same_estimate(got: PiecewiseEstimate, want: PiecewiseEstimate) -> None:
+    """got equals want in every observable; want's pieces are the reference."""
+    pieces = want.pieces
+    assert got == want and hash(got) == hash(want)
+    # repr tells -0.0 from 0.0 and an int from a float
+    assert repr(got.pieces) == repr(pieces) and got.pieces == pieces
+    vals, ref_vals = got.atom_values(), ref_atom_values(pieces)
+    assert vals.dtype == ref_vals.dtype and vals.tobytes() == ref_vals.tobytes()
+    assert got.to_json() == ref_to_json(want.domain_k, pieces)
+    assert got.to_csv() == ref_to_csv(pieces)
+    for x in range(1, got.domain_k + 1):
+        assert repr(got(x)) == repr(ref_eval(pieces, x))
+    assert got.total_mass().hex() == ref_total_mass(pieces).hex()
+
+
+def assert_same_outcome(call, ref_call) -> None:
+    """Both raise the same error, or both return the same estimate."""
+    try:
+        want = ref_call()
+    except TreedensError as exc:
+        with pytest.raises(type(exc)) as got:
+            call()
+        assert str(got.value) == str(exc)
+        return
+    assert_same_estimate(call(), want)
+
+
+@st.composite
+def trees(draw, arity: int):
+    """(k, tree): a random aligned tree over 1..pad_to_power(k, arity)."""
+    k = draw(st.integers(1, 100))
+    padded = pad_to_power(k, arity)
+    split = st.integers(0, 3).map(bool)  # split three times in four
+    spans, stack = [], [(1, padded)]
+    while stack:
+        start, length = stack.pop()
+        if length > 1 and draw(split):
+            child = length // arity
+            stack += [(start + j * child, child) for j in range(arity - 1, -1, -1)]
+        else:
+            spans.append((start, length))
+    return k, PartitionTree(arity, padded, tuple(spans))
+
+
+def counts_for(k: int):
+    """Counts on 1..k with runs of zeros, small and large counts, n >= 1."""
+    atom = st.one_of(st.just(0), st.integers(0, 20), st.integers(0, 10**6))
+    return st.lists(atom, min_size=k, max_size=k).map(
+        lambda c: c if sum(c) else [1] + c[1:]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), arity=st.sampled_from((2, 3)), renormalize=st.booleans())
+def test_builders_match_piece_references(data, arity, renormalize):
+    k, t = data.draw(trees(arity))
+    counts = data.draw(counts_for(k))
+    sc = SampleCounts(k=k, n=sum(counts), counts=np.array(counts))
+    mass = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    f = make_density(mass / mass.sum() if mass.sum() > 0 else np.full(k, 1.0 / k))
+    for build, ref, reads_counts in BUILDERS:
+        arg = sc if reads_counts else f
+        assert_same_outcome(
+            lambda: build(t, arg, renormalize=renormalize),
+            lambda: ref(t, arg, renormalize=renormalize),
+        )
+
+
+def test_greedy_pl_ledges_singletons_and_padding_match_reference():
+    # k = 25 on 1..27: leaves (1,9) (10,9) (19,3) (22,3) (25,1) (26,1) (27,1).
+    # Leaf 1 rises from an empty left third, leaf 10 falls to an empty
+    # right third, atom 25 is a singleton, and 26..27 are padding.
+    spans = ((1, 9), (10, 9), (19, 3), (22, 3), (25, 1), (26, 1), (27, 1))
+    t = PartitionTree(3, 27, spans)
+    counts = [0, 0, 0, 1, 1, 1, 5, 5, 5, 5, 5, 5, 1, 1, 1, 0, 0, 0] + [2] * 6 + [3]
+    sc = SampleCounts(k=25, n=sum(counts), counts=np.array(counts))
+    for renormalize in (False, True):
+        est = greedy_pl_estimate(t, sc, renormalize=renormalize)
+        assert_same_estimate(est, ref_greedy_pl_estimate(t, sc, renormalize=renormalize))
+        kinds = [(p.start, p.kind) for p in est.pieces]
+        assert kinds[:4] == [(1, "constant"), (2, "linear"), (10, "linear"), (18, "constant")]
+        assert est.pieces[0].value == 0.0 and est.pieces[3].value == 0.0
+        assert est.pieces[-1].start == 25 and est.pieces[-1].length == 1
+    f = make_density(np.full(25, 1.0 / 25))
+    for renormalize in (False, True):
+        assert_same_estimate(
+            idealized_pl_estimate(t, f, renormalize=renormalize),
+            ref_idealized_pl_estimate(t, f, renormalize=renormalize),
+        )
+
+
+def test_builders_match_references_on_library_trees():
+    for name in ("harmonic-zipf", "trunc-geometric", "uniform", "linear-decreasing"):
+        for k in (1, 5, 64, 100, 243):
+            f = family(name, k)
+            sc = sample(f, 500, 3)
+            for est_name in ("greedy-binary", "greedy-ternary", "idealized-binary"):
+                t, _ = fit_estimate(est_name, f, sc)
+                for build, ref, reads_counts in BUILDERS:
+                    arg = sc if reads_counts else f
+                    for renormalize in (False, True):
+                        assert_same_outcome(
+                            lambda: build(t, arg, renormalize=renormalize),
+                            lambda: ref(t, arg, renormalize=renormalize),
+                        )
+
+
+@st.composite
+def given_pieces(draw):
+    """(domain_k, pieces) with ints, -0.0, and constants with a slope."""
+    value = st.one_of(
+        st.floats(-1e3, 1e3, allow_subnormal=True),
+        st.integers(-5, 5),
+        st.sampled_from((0.0, -0.0)),
+    )
+    pieces, pos = [], 1
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, 5))
+        kind = draw(st.sampled_from(("constant", "linear")))
+        pieces.append(Piece(pos, length, kind, draw(value), draw(value), draw(value)))
+        pos += length
+    return pos - 1, pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=given_pieces())
+def test_columns_rebuild_the_given_pieces(case):
+    domain_k, pieces = case
+    est = PiecewiseEstimate(domain_k, pieces)
+    assert est.pieces == tuple(pieces)
+    # the same columns without the given records: pieces are rebuilt from them
+    flat = PiecewiseEstimate._from_columns(
+        domain_k, est.starts, est.lengths, est.linear, est.values, est.slopes, est.intercepts
+    )
+    assert "pieces" not in flat.__dict__
+    assert_same_estimate(flat, est)
+    assert repr(flat) == repr(est)
+
+
+def test_estimates_differ_when_a_field_differs():
+    a = PiecewiseEstimate(2, [Piece(1, 2, "constant", 0.5)])
+    assert a != PiecewiseEstimate(2, [Piece(1, 1, "constant", 0.5), Piece(2, 1, "constant", 0.5)])
+    assert a != PiecewiseEstimate(2, [Piece(1, 2, "constant", 0.25)])
+    assert a != PiecewiseEstimate(2, [Piece(1, 2, "constant", 0.5, slope=1.0)])
+    assert a != PiecewiseEstimate(2, [Piece(1, 2, "linear", 0.5)])
+    assert a == PiecewiseEstimate(2, (Piece(1, 2, "constant", 0.5),))
+    assert len({a, PiecewiseEstimate(2, [Piece(1, 2, "constant", 0.5)])}) == 1
+    with pytest.raises(AttributeError):
+        a.domain_k = 3
+
+
+def test_from_atom_values():
+    est = PiecewiseEstimate.from_atom_values(3, np.array([0.5, 0.25, 0.25]))
+    assert est == PiecewiseEstimate(
+        3, [Piece(x, 1, "constant", v) for x, v in ((1, 0.5), (2, 0.25), (3, 0.25))]
+    )
+    for values in ([0.5, 0.5], [0.25] * 4):
+        with pytest.raises(BadParam) as flat:
+            PiecewiseEstimate.from_atom_values(3, np.array(values))
+        with pytest.raises(BadParam) as checked:
+            PiecewiseEstimate(3, [Piece(i + 1, 1, "constant", v) for i, v in enumerate(values)])
+        assert str(flat.value) == str(checked.value)
+
+
+# --- monotonize on input that is already non-increasing ---------------------
+
+
+@st.composite
+def non_increasing(draw):
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-10, 10),
+        st.sampled_from((0.0, -0.0, 0, 1, 1.0)),
+    )
+    values = draw(st.lists(value, min_size=1, max_size=10))
+    values += [values[i] for i in draw(st.lists(st.integers(0, len(values) - 1), max_size=4))]
+    values.sort(reverse=True)  # stable: -0.0 beside 0.0 keeps its drawn order
+    lengths = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+    return list(zip(lengths, values))
+
+
+def _constant_estimate(pieces) -> PiecewiseEstimate:
+    out, pos = [], 1
+    for length, value in pieces:
+        out.append(Piece(pos, length, "constant", value=value))
+        pos += length
+    return PiecewiseEstimate(pos - 1, out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=non_increasing())
+def test_monotonize_fast_path_matches_reference(pieces):
+    got = monotonize(_constant_estimate(pieces))
+    want = ref_monotonize(pieces)
+    assert [(p.length, repr(p.value)) for p in got.pieces] == [
+        (l, repr(v)) for l, v in want
+    ]
+    assert all(p.kind == "constant" and p.slope == 0.0 == p.intercept for p in got.pieces)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [(3, 0.25)],
+        [(1, 7)],
+        [(2, 0.0), (1, -0.0), (3, 0.0)],
+        [(1, -0.0), (2, 0.0)],
+        [(2, 3), (1, 3.0), (1, 2), (4, 2)],
+    ],
+)
+def test_monotonize_fast_path_cases(pieces):
+    got = monotonize(_constant_estimate(pieces))
+    assert [(p.length, repr(p.value)) for p in got.pieces] == [
+        (l, repr(v)) for l, v in ref_monotonize(pieces)
+    ]
+
+
+def test_monotonize_output_has_zero_slopes():
+    pieces = [Piece(1, 2, "constant", 0.5, slope=2.0, intercept=-1.0), Piece(3, 1, "constant", 0.25, 1)]
+    assert monotonize(PiecewiseEstimate(3, pieces)).pieces == (
+        Piece(1, 2, "constant", 0.5),
+        Piece(3, 1, "constant", 0.25),
+    )
+
+
+class _NoRatio(float):
+    """A float whose exact ratio may not be asked for."""
+
+    def as_integer_ratio(self):
+        raise AssertionError("the integer scan ran")
+
+
+def test_monotonize_skips_the_scan_only_when_non_increasing():
+    down = [(2, _NoRatio(0.5)), (1, _NoRatio(0.5)), (1, _NoRatio(0.25))]
+    assert [p.value for p in monotonize(_constant_estimate(down)).pieces] == [0.5, 0.5, 0.25]
+    with pytest.raises(AssertionError, match="integer scan"):
+        monotonize(_constant_estimate([(1, _NoRatio(0.25)), (1, _NoRatio(0.5))]))
+
+
+@pytest.mark.parametrize(
+    "pieces, error",
+    [
+        ([(1, float("inf")), (1, 1.0)], OverflowError),
+        ([(1, 1.0), (1, float("-inf"))], OverflowError),
+        ([(2, float("nan"))], ValueError),
+        ([(1, 1.0), (1, float("nan")), (1, 0.0)], ValueError),
+    ],
+)
+def test_monotonize_non_finite_values_still_raise(pieces, error):
+    with pytest.raises(error):
+        monotonize(_constant_estimate(pieces))
+
+
+# --- tree-free estimates through the CLI -------------------------------------
+
+# sha256 of `treedens estimate` stdout for the oracle and the empirical
+# histogram, recorded when each atom was built as its own Piece record
+TREE_FREE = json.loads((DATA / "estimate_tree_free_sha256.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", TREE_FREE, ids=lambda c: f"{c['estimator']}-{c['format']}-{c['family']}-k{c['k']}"
+)
+def test_tree_free_estimate_stdout_unchanged(capsys, case):
+    argv = [
+        "estimate", "--estimator", case["estimator"], "--format", case["format"],
+        "--family", case["family"], "--k", str(case["k"]), "--n", str(case["n"]),
+        "--seed", str(case["seed"]),
+    ]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+# --- no Piece records on the replication path --------------------------------
+
+
+def test_replications_and_serialization_make_no_piece(monkeypatch):
+    made = []
+    check = Piece.__post_init__
+    monkeypatch.setattr(Piece, "__post_init__", lambda self: made.append(check(self)))
+    for name in ("harmonic-zipf", "uniform"):
+        f = family(name, 100)
+        for est in ("greedy-binary", "greedy-binary+monotonize", "greedy-ternary",
+                    "idealized-binary", "oracle", "empirical-histogram"):
+            mc_risk(est, f, 500, 3, 1)
+            _, fitted = fit_estimate(est, f, sample(f, 500, 2))
+            fitted.to_json(), fitted.to_csv(), fitted.total_mass(), fitted(100)
+    assert made == []
