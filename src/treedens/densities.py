@@ -165,8 +165,12 @@ def family(name: str, k: int, param: float | None = None) -> DiscreteDensity:
     elif name == LINEAR_DECREASING:
         if param is not None:
             raise BadParam("linear-decreasing takes no parameter")
-        w = np.arange(k, 0, -1, dtype=float)
-        mass = w / (k * (k + 1) / 2.0)
+        # mass[x] = (k + 1 - x) c 2**-q with c ~ 2**30: for k <= 2**22 every
+        # value is an integer below 2**53 times 2**-q, so the second
+        # differences are exactly 0 and the family is exactly convex
+        total = k * (k + 1) // 2
+        q = 30 + total.bit_length()
+        mass = np.arange(k, 0, -1, dtype=float) * (round(2**q / total) * 2.0**-q)
     else:
         raise BadParam(f"unknown family {name!r}")
     return DiscreteDensity(k=k, mass=mass)

@@ -2,13 +2,13 @@
 
 A tree lives on the padded domain {1, ..., padded_k}, padded_k the smallest
 power of the arity at least k; padded atoms carry zero mass and zero counts.
-Construction walks top-down: a node covering a single atom is a leaf, and
-any other node either splits into equal consecutive halves (arity 2) or
-thirds (arity 3) when its splitting rule fires, or becomes a leaf.  The
-greedy rules consume sample counts and are evaluated in exact integer
-arithmetic; the idealized rules consume the true density and are
-deterministic in it.  A built tree keeps only its leaves, as (start,
-length) spans in left-to-right order.
+One builder makes all four trees.  It walks top-down: a node covering a
+single atom is a leaf, and any other node splits into equal consecutive
+halves (arity 2) or thirds (arity 3) when a rule over its children's
+totals fires.  The greedy trees total the sample counts, and their rules
+run in exact Python ints; the idealized trees total the true masses and
+are deterministic in them.  A built tree keeps only its leaves, as
+(start, length) spans in left-to-right order.
 
 The estimates are piecewise functions over the leaf intervals, truncated
 back to {1, ..., k}.  Truncation can shave off mass that a boundary leaf
@@ -103,23 +103,6 @@ class PartitionTree:
         )
 
 
-def _build_tree(arity: int, padded_k: int, should_split) -> PartitionTree:
-    """Depth-first over an explicit stack, so deep trees cannot hit
-    recursion limits; children are pushed right to left, so leaves come
-    off the stack in left-to-right order."""
-    spans: list[tuple[int, int]] = []
-    stack = [(1, padded_k)]
-    right_to_left = range(arity - 1, -1, -1)
-    while stack:
-        start, length = stack.pop()
-        if length > 1 and should_split(start, length):
-            child = length // arity
-            stack += [(start + j * child, child) for j in right_to_left]
-        else:
-            spans.append((start, length))
-    return PartitionTree(arity=arity, padded_k=padded_k, spans=tuple(spans))
-
-
 def greedy_split_decision(n_left: int, n_right: int) -> bool:
     """|n_left - n_right| > sqrt(n_left + n_right), as exact integers."""
     d = n_left - n_right
@@ -140,31 +123,47 @@ def _cumulative(values: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(1, values.dtype), np.cumsum(values)])
 
 
-def _interval_lookup(values: np.ndarray):
-    """Sum of values over the atoms {start, ..., start + length - 1}.
+def _build_tree(arity: int, values: np.ndarray, rule) -> PartitionTree:
+    """The tree over the padded domain of values in which a node splits
+    when rule(*totals) holds, totals being its children's sums of values.
 
-    Intervals may stick out into the padding, which holds nothing.  Int
-    values give a Python int, float values a float equal to the numpy
-    difference of cumulative sums.
+    Each node reads its arity + 1 edges of the cumulative array once, an
+    edge past the last atom reading the full total.  Int values give
+    Python int totals.  The walk is depth-first over an explicit stack, so
+    deep trees cannot hit recursion limits; children are pushed right to
+    left, so leaves come off the stack in left-to-right order.
     """
-    at = _cumulative(values).item
     k = values.size
-
-    def total(start: int, length: int):
-        lo = start - 1
-        hi = lo + length
-        if hi > k:
-            hi = k
-            if lo > k:
-                lo = k
-        return at(hi) - at(lo)
-
-    return total
+    padded_k = pad_to_power(k, arity)
+    at = _cumulative(values).item
+    spans: list[tuple[int, int]] = []
+    stack = [(1, padded_k)]
+    right_to_left = range(arity - 1, -1, -1)
+    while stack:
+        start, length = stack.pop()
+        if length > 1:
+            child = length // arity
+            e0 = start - 1
+            e1 = e0 + child
+            e2 = e1 + child
+            c0 = at(e0 if e0 < k else k)
+            c1 = at(e1 if e1 < k else k)
+            c2 = at(e2 if e2 < k else k)
+            if arity == 2:
+                split = rule(c1 - c0, c2 - c1)
+            else:
+                e3 = e2 + child
+                split = rule(c1 - c0, c2 - c1, at(e3 if e3 < k else k) - c2)
+            if split:
+                stack += [(start + j * child, child) for j in right_to_left]
+                continue
+        spans.append((start, length))
+    return PartitionTree(arity=arity, padded_k=padded_k, spans=tuple(spans))
 
 
 def _leaf_totals(cum: np.ndarray, starts, lengths) -> list:
-    """The sums of _interval_lookup for many intervals at once, from the
-    cumulative array of the values."""
+    """Sums of the values over many intervals at once, from their
+    cumulative array; as in _build_tree, the padding holds nothing."""
     k = cum.size - 1
     lo = np.minimum(np.asarray(starts) - 1, k)
     hi = np.minimum(lo + np.asarray(lengths), k)
@@ -176,13 +175,7 @@ def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
     by more than a standard deviation's worth."""
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    count = _interval_lookup(sc.counts)
-
-    def should_split(start: int, length: int) -> bool:
-        half = length // 2
-        return greedy_split_decision(count(start, half), count(start + half, half))
-
-    return _build_tree(2, pad_to_power(sc.k, 2), should_split)
+    return _build_tree(2, sc.counts, greedy_split_decision)
 
 
 def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
@@ -192,32 +185,14 @@ def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
         raise BadParam("n must be >= 1")
     if not is_non_increasing(f):
         raise NotMonotone("the idealized binary tree needs a non-increasing density")
-    mass = _interval_lookup(f.mass)
-
-    def should_split(start: int, length: int) -> bool:
-        half = length // 2
-        fv = mass(start, half)
-        fw = mass(start + half, half)
-        return fv - fw > math.sqrt((fv + fw) / n)
-
-    return _build_tree(2, pad_to_power(f.k, 2), should_split)
+    return _build_tree(2, f.mass, lambda fv, fw: fv - fw > math.sqrt((fv + fw) / n))
 
 
 def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
     """Sample-driven ternary tree splitting on the thirds' count curvature."""
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    count = _interval_lookup(sc.counts)
-
-    def should_split(start: int, length: int) -> bool:
-        third = length // 3
-        return greedy_ternary_split_decision(
-            count(start, third),
-            count(start + third, third),
-            count(start + 2 * third, third),
-        )
-
-    return _build_tree(3, pad_to_power(sc.k, 3), should_split)
+    return _build_tree(3, sc.counts, greedy_ternary_split_decision)
 
 
 def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
@@ -227,16 +202,9 @@ def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
         raise BadParam("n must be >= 1")
     if not is_convex_non_increasing(f):
         raise NotConvex("the idealized ternary tree needs a convex non-increasing density")
-    mass = _interval_lookup(f.mass)
-
-    def should_split(start: int, length: int) -> bool:
-        third = length // 3
-        fv = mass(start, third)
-        fw = mass(start + third, third)
-        fr = mass(start + 2 * third, third)
-        return fv - 2.0 * fw + fr > math.sqrt((fv + fw + fr) / n)
-
-    return _build_tree(3, pad_to_power(f.k, 3), should_split)
+    return _build_tree(
+        3, f.mass, lambda fv, fw, fr: fv - 2.0 * fw + fr > math.sqrt((fv + fw + fr) / n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +396,10 @@ def _scaled(est: PiecewiseEstimate, renormalize: bool) -> PiecewiseEstimate:
     if not renormalize:
         return est
     mass = est.total_mass()
-    if mass <= 0.0:
-        raise BadParam("cannot renormalize an estimate with no mass")
-    c = 1.0 / mass
+    # a subnormal mass has no finite reciprocal, and NaN fails mass > 0
+    c = 1.0 / mass if mass > 0.0 else math.inf
+    if c == math.inf:
+        raise BadParam(f"cannot renormalize an estimate of total mass {mass!r}")
     return PiecewiseEstimate._from_columns(
         est.domain_k,
         est.starts,
@@ -442,17 +411,10 @@ def _scaled(est: PiecewiseEstimate, renormalize: bool) -> PiecewiseEstimate:
     )
 
 
-def _check_tree_counts(t: PartitionTree, sc: SampleCounts):
-    if pad_to_power(sc.k, t.arity) != t.padded_k:
+def _check_tree(t: PartitionTree, k: int, what: str):
+    if pad_to_power(k, t.arity) != t.padded_k:
         raise DomainMismatch(
-            f"tree over {t.padded_k} padded atoms does not match counts on 1..{sc.k}"
-        )
-
-
-def _check_tree_density(t: PartitionTree, f: DiscreteDensity):
-    if pad_to_power(f.k, t.arity) != t.padded_k:
-        raise DomainMismatch(
-            f"tree over {t.padded_k} padded atoms does not match density on 1..{f.k}"
+            f"tree over {t.padded_k} padded atoms does not match {what} on 1..{k}"
         )
 
 
@@ -461,7 +423,7 @@ def histogram_estimate(
 ) -> PiecewiseEstimate:
     """Leaf-interval histogram: each leaf gets its count spread uniformly
     over the leaf's full padded width."""
-    _check_tree_counts(t, sc)
+    _check_tree(t, sc.k, "counts")
     n = sc.n
     if n < 1:
         raise BadParam("need at least one sample")
@@ -481,7 +443,7 @@ def idealized_pc_estimate(
     t: PartitionTree, f: DiscreteDensity, renormalize: bool = False
 ) -> PiecewiseEstimate:
     """Piecewise-constant projection of f itself onto the leaf partition."""
-    _check_tree_density(t, f)
+    _check_tree(t, f.k, "density")
     starts, lengths = zip(*t.spans)
     masses = _leaf_totals(_cumulative(f.mass), starts, lengths)
     values = [
@@ -529,7 +491,7 @@ def idealized_pl_estimate(
     singleton leaves copy f exactly.  Values are not clamped, and the
     fitted lines need not preserve mass, so the estimate's total can
     differ from 1 even before truncation."""
-    _check_tree_density(t, f)
+    _check_tree(t, f.k, "density")
     if t.arity != 3:
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
     rows = []
@@ -573,7 +535,7 @@ def greedy_pl_estimate(
     clamped to zero: unlike the idealized averages, empirical thirds can
     slope either way.  As in idealized_pl_estimate, the fitted lines need
     not preserve mass."""
-    _check_tree_counts(t, sc)
+    _check_tree(t, sc.k, "counts")
     if t.arity != 3:
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
     n = sc.n

@@ -1,12 +1,14 @@
 """Seeded Monte Carlo risk estimation and rate-scaling experiments.
 
-A named estimator is a function (truth, sample) -> atom values.  Data-driven
-estimators ignore the truth; idealized ones ignore the counts and use only
-the sample size.  mc_risk averages TV(estimate, truth) over independently
-seeded replications and is bit-deterministic for a fixed master seed no
-matter how many worker threads run the replications.  Count-free
-estimators (the oracle and the idealized ones) give the same estimate in
-every replication, so mc_risk fits them once and draws no samples.
+One table defines every named estimator: a fit (truth, sample size,
+sample) -> (tree, estimate), where the tree-free fits give (None, atom
+values), and a count-free flag for the fits that read only the truth and
+the sample size.  ESTIMATORS (name -> (truth, sample) -> atom values),
+fit_estimate, mc_risk and the CLI's --estimator choices all read it.
+mc_risk averages TV(estimate, truth) over independently seeded
+replications and is bit-deterministic for a fixed master seed no matter
+how many worker threads run them; a count-free estimator is fit once and
+draws no samples.
 """
 
 from __future__ import annotations
@@ -57,110 +59,102 @@ __all__ = [
 ]
 
 
-def _fit_oracle(f: DiscreteDensity, n: int) -> np.ndarray:
-    return f.mass
+def _greedy_binary(f: DiscreteDensity, n: int, sc: SampleCounts):
+    t = build_greedy_binary(sc)
+    return t, histogram_estimate(t, sc)
 
 
-def _fit_idealized_binary(f: DiscreteDensity, n: int) -> np.ndarray:
-    return idealized_pc_estimate(build_idealized_binary(f, n), f).atom_values()
+def _greedy_monotone(f: DiscreteDensity, n: int, sc: SampleCounts):
+    t = build_greedy_binary(sc)
+    return t, monotonize(histogram_estimate(t, sc))
 
 
-def _fit_idealized_ternary(f: DiscreteDensity, n: int) -> np.ndarray:
-    return idealized_pl_estimate(build_idealized_ternary(f, n), f).atom_values()
+def _greedy_ternary(f: DiscreteDensity, n: int, sc: SampleCounts):
+    t = build_greedy_ternary(sc)
+    return t, greedy_pl_estimate(t, sc)
 
 
-def _est_oracle(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return _fit_oracle(f, sc.n)
+def _idealized_binary(f: DiscreteDensity, n: int, sc: SampleCounts | None):
+    t = build_idealized_binary(f, n)
+    return t, idealized_pc_estimate(t, f)
 
 
-def _est_empirical(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return sc.frequencies()
+def _idealized_ternary(f: DiscreteDensity, n: int, sc: SampleCounts | None):
+    t = build_idealized_ternary(f, n)
+    return t, idealized_pl_estimate(t, f)
 
 
-def _est_greedy_binary(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return histogram_estimate(build_greedy_binary(sc), sc).atom_values()
-
-
-def _est_greedy_monotone(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return monotonize(histogram_estimate(build_greedy_binary(sc), sc)).atom_values()
-
-
-def _est_greedy_ternary(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return greedy_pl_estimate(build_greedy_ternary(sc), sc).atom_values()
-
-
-def _est_idealized_binary(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return _fit_idealized_binary(f, sc.n)
-
-
-def _est_idealized_ternary(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-    return _fit_idealized_ternary(f, sc.n)
-
-
-ESTIMATORS = {
-    "oracle": _est_oracle,
-    "empirical-histogram": _est_empirical,
-    "greedy-binary": _est_greedy_binary,
-    "greedy-binary+monotonize": _est_greedy_monotone,
-    "greedy-ternary": _est_greedy_ternary,
-    "idealized-binary": _est_idealized_binary,
-    "idealized-ternary": _est_idealized_ternary,
+# name -> (fit, count_free); mc_risk hands a count-free fit no sample
+_TABLE = {
+    "oracle": (lambda f, n, sc: (None, f.mass), True),
+    "empirical-histogram": (lambda f, n, sc: (None, sc.frequencies()), False),
+    "greedy-binary": (_greedy_binary, False),
+    "greedy-binary+monotonize": (_greedy_monotone, False),
+    "greedy-ternary": (_greedy_ternary, False),
+    "idealized-binary": (_idealized_binary, True),
+    "idealized-ternary": (_idealized_ternary, True),
 }
 
 
-# Registry functions that read only the sample size, with their (f, n) fits.
-# mc_risk fits these once per call: every replication has the same loss.
-_COUNT_FREE = (
-    (_est_oracle, _fit_oracle),
-    (_est_idealized_binary, _fit_idealized_binary),
-    (_est_idealized_ternary, _fit_idealized_ternary),
-)
+def _atom_values(fitted) -> np.ndarray:
+    tree, estimate = fitted
+    return estimate if tree is None else estimate.atom_values()
+
+
+def _values_view(name: str, fit):
+    """The registry callable (truth, sample) -> atom values of one fit."""
+
+    def values(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
+        return _atom_values(fit(f, sc.n, sc))
+
+    values.__name__ = name
+    return values
+
+
+ESTIMATORS = {name: _values_view(name, fit) for name, (fit, _) in _TABLE.items()}
 
 
 def estimator_names() -> list[str]:
     return list(ESTIMATORS)
 
 
+def _entry(name) -> tuple:
+    try:
+        return _TABLE[name]
+    except (KeyError, TypeError):
+        raise UnknownEstimator(
+            f"unknown estimator {name!r}; known: {', '.join(ESTIMATORS)}"
+        ) from None
+
+
 def fit_estimate(name: str, f: DiscreteDensity, sc: SampleCounts):
     """Full artifacts for one named estimator on one sample.
 
     Returns (tree, estimate): the partition tree (None for the two
-    tree-free estimators) and the PiecewiseEstimate.  The registry
-    functions above are the throwaway per-replication view of the same
-    fits; this is the inspectable one the CLI serializes.
+    tree-free estimators) and the PiecewiseEstimate.  ESTIMATORS[name] is
+    the throwaway per-replication view of the same fit; this is the
+    inspectable one the CLI serializes.
     """
-    if name == "oracle" or name == "empirical-histogram":
-        vals = f.mass if name == "oracle" else sc.frequencies()
-        return None, PiecewiseEstimate.from_atom_values(f.k, vals)
-    if name == "greedy-binary":
-        t = build_greedy_binary(sc)
-        return t, histogram_estimate(t, sc)
-    if name == "greedy-binary+monotonize":
-        t = build_greedy_binary(sc)
-        return t, monotonize(histogram_estimate(t, sc))
-    if name == "greedy-ternary":
-        t = build_greedy_ternary(sc)
-        return t, greedy_pl_estimate(t, sc)
-    if name == "idealized-binary":
-        t = build_idealized_binary(f, sc.n)
-        return t, idealized_pc_estimate(t, f)
-    if name == "idealized-ternary":
-        t = build_idealized_ternary(f, sc.n)
-        return t, idealized_pl_estimate(t, f)
-    raise UnknownEstimator(
-        f"unknown estimator {name!r}; known: {', '.join(ESTIMATORS)}"
-    )
+    tree, estimate = _entry(name)[0](f, sc.n, sc)
+    if tree is None:
+        estimate = PiecewiseEstimate.from_atom_values(f.k, estimate)
+    return tree, estimate
 
 
-def _resolve(estimator) -> tuple[str, object]:
+def _resolve(estimator) -> tuple:
+    """(report name, per-replication callable, fit to run once or None).
+
+    A registry name or registry callable takes its table entry, so a
+    count-free one is fit once; any other callable runs per replication.
+    """
     if callable(estimator):
-        return getattr(estimator, "__name__", "custom"), estimator
-    try:
-        return str(estimator), ESTIMATORS[estimator]
-    except KeyError:
-        raise UnknownEstimator(
-            f"unknown estimator {estimator!r}; known: {', '.join(ESTIMATORS)}"
-        ) from None
+        name = getattr(estimator, "__name__", "custom")
+        if ESTIMATORS.get(name) is not estimator:
+            return name, estimator, None
+    else:
+        name = estimator
+    fit, count_free = _entry(name)
+    return str(name), ESTIMATORS[name], fit if count_free else None
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,7 @@ def mc_risk(
     are fit once and their loss is repeated reps times, with no sample
     drawn; a custom callable always runs per replication.
     """
-    name, fn = _resolve(estimator)
+    name, fn, fit = _resolve(estimator)
     if reps < 1:
         raise BadParam(f"need reps >= 1, got {reps}")
     if threads < 1:
@@ -216,9 +210,8 @@ def mc_risk(
     if n < 0:
         raise BadParam("n must be >= 0")
 
-    fit = next((fit for est, fit in _COUNT_FREE if est is fn), None)
     if fit is not None:
-        losses = [tv(f.mass, fit(f, n))] * reps
+        losses = [tv(f.mass, _atom_values(fit(f, n, None)))] * reps
     else:
         losses = [0.0] * reps
 

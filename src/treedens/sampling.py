@@ -57,10 +57,14 @@ class SampleCounts:
         object.__setattr__(self, "counts", counts)
         if counts.shape != (self.k,):
             raise BadParam(f"expected {self.k} counts, got shape {counts.shape}")
-        if self.n < 0 or np.any(counts < 0):
+        # two plain reductions: np.any(counts < 0) costs as much as both
+        if self.n < 0 or counts.min(initial=0) < 0:
             raise BadParam("counts must be non-negative")
-        if int(counts.sum()) != self.n:
-            raise BadParam(f"counts sum to {int(counts.sum())}, not n={self.n}")
+        total = int(counts.sum())
+        if int(counts.max(initial=0)) * self.k >= 2**63:
+            total = sum(counts.tolist())  # the int64 sum may have wrapped
+        if total != self.n:
+            raise BadParam(f"counts sum to {total}, not n={self.n}")
 
     def frequencies(self) -> np.ndarray:
         """Empirical per-atom probabilities; the zero measure when n = 0."""

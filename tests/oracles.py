@@ -521,9 +521,10 @@ def ref_scaled(est, renormalize: bool):
     if not renormalize:
         return est
     mass = ref_total_mass(est.pieces)
-    if mass <= 0.0:
-        raise BadParam("cannot renormalize an estimate with no mass")
-    c = 1.0 / mass
+    # a subnormal mass has no finite reciprocal, and NaN fails mass > 0
+    c = 1.0 / mass if mass > 0.0 else math.inf
+    if c == math.inf:
+        raise BadParam(f"cannot renormalize an estimate of total mass {mass!r}")
     scaled = tuple(
         replace(p, value=p.value * c, slope=p.slope * c, intercept=p.intercept * c)
         for p in est.pieces

@@ -146,10 +146,6 @@ def test_criterion_04_idealized_pl_suite():
                 family("uniform", k),
                 make_density(random_convex_mass(rng, k)),
             ]
-            # linear-decreasing sits on the predicate's boundary (second
-            # difference exactly zero before rounding) and may fall out
-            shapes = [f for f in shapes if is_convex_non_increasing(f)]
-            assert len(shapes) >= 5
             for f in shapes:
                 leaves = len(build_idealized_ternary(f, n).leaves())
                 assert leaves <= bound, (n, k, leaves, bound)

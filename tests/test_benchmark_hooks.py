@@ -8,6 +8,7 @@ The tracer is compiled from its source and never imported, so nothing is
 written under benchmarks/.
 """
 
+import json
 import types
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from treedens import (
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 GREEDY = ("greedy-binary", "greedy-binary+monotonize", "greedy-ternary")
+IDEALIZED = ("idealized-binary", "idealized-ternary")
 K, N, REPS, SEED = 64, 300, 3, 17
 
 
@@ -69,3 +71,31 @@ def test_tracer_sees_each_layer_of_a_greedy_replication():
         hist = histogram_estimate(build_greedy_binary(sc), sc)
         want += len(hist.pieces) - len(monotonize(hist).pieces)
     assert merged == want
+
+
+def test_tracer_sees_the_fit_once_path_and_a_cli_estimate(capsys):
+    f = family("harmonic-zipf", K)
+    argv = ["estimate", "--family", "harmonic-zipf", "--k", str(K), "--n", str(N),
+            "--estimator", "greedy-binary", "--seed", str(SEED), "--format", "json"]
+    tracer = load_tracing().Tracer(treedens)
+    tracer.install()
+    try:
+        for op, est in enumerate(IDEALIZED):
+            tracer.op = op
+            treedens.risk_lab.mc_risk(est, f, N, REPS, SEED)
+        cli_op = tracer.op = len(IDEALIZED)
+        assert treedens.cli.run(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)["estimator"] == "greedy-binary"
+
+    calls = {}
+    for _, name, _, _, _, op, _ in tracer.spans:
+        calls[name, op] = calls.get((name, op), 0) + 1
+    for op, est in enumerate(IDEALIZED):
+        # count-free: fit once per op, and no sample drawn
+        for layer in ("partition_trees.build", "partition_trees.estimate"):
+            assert calls.get((layer, op)) == 1, (est, layer)
+        assert ("sampling.sample", op) not in calls, est
+    for layer in ("risk_lab.fit_estimate", "partition_trees.build", "partition_trees.estimate"):
+        assert calls.get((layer, cli_op)) == 1, layer

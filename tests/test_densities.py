@@ -95,6 +95,13 @@ def test_harmonic_zipf_64_convex():
     assert is_convex_non_increasing(family("harmonic-zipf", 64))
 
 
+def test_linear_decreasing_is_exactly_convex():
+    # the family's mass sits on a dyadic grid, so its second differences
+    # are exactly zero rather than rounding noise either side of it
+    for k in [*range(1, 300), 1000, 4096, 65536, 2**20]:
+        assert is_convex_non_increasing(family("linear-decreasing", k)), k
+
+
 def test_all_families_valid_and_monotone():
     for name in FAMILY_NAMES:
         f = family(name, 17)

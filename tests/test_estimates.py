@@ -151,6 +151,16 @@ def test_greedy_pl_ledges_singletons_and_padding_match_reference():
         )
 
 
+def test_renormalize_rejects_a_mass_without_a_finite_reciprocal():
+    # the line through the outer thirds of [5e-324, 1.0] on 1..3 has total
+    # mass 1e-323, and 1 / 1e-323 overflows to inf
+    t = PartitionTree(3, 3, ((1, 3),))
+    f = make_density([5e-324, 1.0])
+    for build in (idealized_pl_estimate, ref_idealized_pl_estimate):
+        with pytest.raises(BadParam, match="1e-323"):
+            build(t, f, renormalize=True)
+
+
 def test_builders_match_references_on_library_trees():
     for name in ("harmonic-zipf", "trunc-geometric", "uniform", "linear-decreasing"):
         for k in (1, 5, 64, 100, 243):

@@ -23,6 +23,7 @@ from treedens import (
     estimator_names,
     family,
     fit_estimate,
+    make_density,
     mc_risk,
     rate_scaling,
     risk_lab,
@@ -198,6 +199,26 @@ def test_fit_estimate_artifacts():
         fit_estimate("nope", f, sc)
 
 
+@pytest.mark.parametrize("name", estimator_names())
+def test_table_views_agree(name):
+    fn = ESTIMATORS[name]
+    for fam in ("harmonic-zipf", "trunc-geometric"):
+        for k in (1, 5, 64, 100):
+            f = family(fam, k)
+            sc = sample(f, 500, k)
+            got, want = fn(f, sc), fit_estimate(name, f, sc)[1].atom_values()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (fam, k)
+            by_name = mc_risk(name, f, 300, 4, k, density_name=fam)
+            by_object = mc_risk(fn, f, 300, 4, k, density_name=fam)
+            assert by_object == replace(by_name, estimator_name=by_object.estimator_name)
+
+
+def test_registry_callables_report_distinct_names():
+    f = family("harmonic-zipf", 8)
+    names = {mc_risk(fn, f, 50, 2, 0).estimator_name for fn in ESTIMATORS.values()}
+    assert len(names) == len(ESTIMATORS)
+
+
 def test_mc_risk_validation():
     f = family("uniform", 2)
     with pytest.raises(BadParam):
@@ -245,8 +266,10 @@ def test_count_free_estimators_keep_their_errors(monkeypatch):
             mc_risk(name, f, -1, 3, 0)
     with pytest.raises(BadParam):
         mc_risk("idealized-binary", f, 0, 3, 0)
+    # non-increasing but strictly concave: 65**2 - x**2 on 1..64
+    w = 65.0**2 - np.arange(1, 65, dtype=float) ** 2
     with pytest.raises(NotConvex):
-        mc_risk("idealized-ternary", family("linear-decreasing", 64), 1000, 3, 0)
+        mc_risk("idealized-ternary", make_density(w / w.sum()), 1000, 3, 0)
 
 
 def test_custom_callable_runs_every_replication():

@@ -70,6 +70,14 @@ def test_sample_counts_validation():
         SampleCounts(k=2, n=1, counts=np.array([2, -1]))
 
 
+def test_sample_counts_reject_a_sum_that_wraps_int64():
+    # the true total is 2**64 + 5; an int64 sum wraps it around to n = 5
+    with pytest.raises(BadParam):
+        SampleCounts(k=5, n=5, counts=np.array([2**62] * 4 + [5]))
+    big = 2**63 - 1
+    assert SampleCounts(k=2, n=big, counts=np.array([big - 1, 1])).n == big
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "counts, n",
