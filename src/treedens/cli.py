@@ -328,6 +328,11 @@ def run(argv=None) -> int:
     except (TreedensError, OSError) as exc:
         print(f"treedens {args.subcommand}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the shape it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"treedens {args.subcommand}: out of memory{detail}", file=sys.stderr)
+        return 1
     return 0
 
 

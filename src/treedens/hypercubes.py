@@ -23,7 +23,10 @@ for the anchor chain, one reversed running maximum for the decrement caps
 and one cumulative sum over the per-atom decrements.  Its values stay below
 about 2**54 even at the top of the normalization's bisection bracket, where
 an int64 total over a few hundred atoms could wrap, so the totals that
-decide the bisection are exact Python ints.
+decide the bisection are exact Python ints.  The bisection stops at its
+fixed point, the first step that leaves its bracket unchanged: a step
+depends on the bracket alone, so the steps it skips would all repeat it
+and the scale is the one the full step budget gives.
 """
 
 from __future__ import annotations
@@ -50,39 +53,58 @@ class Regime(str, Enum):
         return self in (Regime.CONVEX_LARGE_K, Regime.CONVEX_SMALL_K)
 
 
-def _even_bins(r: int, eps: float) -> tuple[int, ...]:
+def _even_bins(r: int, eps: float, k: int | None = None) -> tuple[int, ...]:
     """Bin lengths for the monotone large-k regime.
 
     Even lengths starting at 2, growing at least like 2 e^{4 eps (i-1)}.  On
     top of that, the cross-bin monotonicity constraint
     (1-eps) |A_{i+1}| >= (1+eps) |A_i| is enforced in exact rational
     arithmetic; the geometric prescription alone does not survive rounding
-    to even integers when eps is small.
+    to even integers when eps is small.  With k given, building stops with
+    InfeasibleSpec as soon as the running total passes k.
     """
     e = Fraction(eps)
     lengths = [2]
+    total = 2
     for i in range(1, r):
-        target = max(2.0 * math.exp(4.0 * eps * i), lengths[-1] * (1 + eps) / (1 - eps))
-        nxt = 2 * math.ceil(target / 2.0)
+        _check_room(total, k)
+        try:
+            target = max(2.0 * math.exp(4.0 * eps * i), lengths[-1] * (1 + eps) / (1 - eps))
+            nxt = 2 * math.ceil(target / 2.0)
+        except OverflowError:
+            raise InfeasibleSpec("bin lengths overflow float arithmetic") from None
         while Fraction(nxt) * (1 - e) < Fraction(lengths[-1]) * (1 + e):
             nxt += 2
         lengths.append(nxt)
+        total += nxt
     return tuple(lengths)
 
 
-def _triple_bins(r: int, eps: float) -> tuple[int, ...]:
+def _triple_bins(r: int, eps: float, k: int | None = None) -> tuple[int, ...]:
     """Bin lengths for the convex large-k regime: multiples of 3 growing
     like 3/(1-eps)^{i-1}, and at least by the factor (1+eps) the cross-bin
-    slope ordering asks for."""
+    slope ordering asks for.  With k given, building stops with
+    InfeasibleSpec as soon as the running total passes k."""
     e = Fraction(eps)
     lengths = [3]
+    total = 3
     for i in range(1, r):
-        target = max(3.0 / (1.0 - eps) ** i, lengths[-1] * (1.0 + eps))
-        nxt = 3 * math.ceil(target / 3.0)
+        _check_room(total, k)
+        try:
+            target = max(3.0 / (1.0 - eps) ** i, lengths[-1] * (1.0 + eps))
+            nxt = 3 * math.ceil(target / 3.0)
+        except OverflowError:
+            raise InfeasibleSpec("bin lengths overflow float arithmetic") from None
         while Fraction(nxt) < Fraction(lengths[-1]) * (1 + e):
             nxt += 3
         lengths.append(nxt)
+        total += nxt
     return tuple(lengths)
+
+
+def _check_room(total: int, k: int | None) -> None:
+    if k is not None and total > k:
+        raise InfeasibleSpec(f"bins need more than {k} atoms but the support has only {k}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +115,10 @@ class HypercubeSpec:
     the construction itself, only default parameter choices and the value
     of the resulting bound.  Validation checks the regime's epsilon range,
     the bit vector, and that the r bins fit inside {1, ..., k}; the bin
-    layout is frozen into ``bin_lengths``.
+    layout is frozen into ``bin_lengths``.  The fit is checked against the
+    shortest possible bins (2 or 3 atoms each) before any bin is built, and
+    the growing large-k layouts stop as soon as their running total
+    passes k, so an infeasible r builds at most about k/2 bins.
     """
 
     regime: Regime
@@ -117,26 +142,34 @@ class HypercubeSpec:
         if self.regime == Regime.MONOTONE_LARGE_K:
             if not 0.0 < eps < 1.0 / math.sqrt(2.0):
                 raise InfeasibleSpec("epsilon must lie in (0, 1/sqrt(2))")
-            lengths = _even_bins(self.r, eps)
+            self._fits(2 * self.r, at_least=True)
+            lengths = _even_bins(self.r, eps, self.k)
         elif self.regime == Regime.MONOTONE_SMALL_K:
             if not 0.0 < eps < 1.0:
                 raise InfeasibleSpec("epsilon must lie in (0, 1)")
+            self._fits(2 * self.r)
             lengths = (2,) * self.r
         elif self.regime == Regime.CONVEX_LARGE_K:
             if not 0.0 < eps <= 0.5:
                 raise InfeasibleSpec("epsilon must lie in (0, 1/2]")
-            lengths = _triple_bins(self.r, eps)
+            self._fits(3 * self.r, at_least=True)
+            lengths = _triple_bins(self.r, eps, self.k)
         elif self.regime == Regime.CONVEX_SMALL_K:
             if not 0.0 < eps <= 0.5:
                 raise InfeasibleSpec("epsilon must lie in (0, 1/2]")
+            self._fits(3 * self.r)
             lengths = (3,) * self.r
         else:
             raise BadParam(f"unknown regime {self.regime!r}")
-        if sum(lengths) > self.k:
-            raise InfeasibleSpec(
-                f"bins need {sum(lengths)} atoms but the support has only {self.k}"
-            )
+        self._fits(sum(lengths))
         object.__setattr__(self, "bin_lengths", lengths)
+
+    def _fits(self, need: int, at_least: bool = False) -> None:
+        if need > self.k:
+            bound = "at least " if at_least else ""
+            raise InfeasibleSpec(
+                f"bins need {bound}{need} atoms but the support has only {self.k}"
+            )
 
 
 def hypercube_bins(spec: HypercubeSpec) -> list[tuple[int, int]]:
@@ -339,6 +372,13 @@ def _convex_scale(
     Mass is theta-independent, so bisecting with the all-zeros corner
     settles every corner.  The grid exponent q keeps the largest integer
     value below 2**51, which keeps the predicate's float arithmetic exact.
+
+    The bisection runs at most 80 steps but stops at its fixed point: once
+    the float midpoint equals the end it would replace, the step leaves
+    (lo, hi) unchanged, and since a step depends on (lo, hi) alone every
+    remaining step would repeat it.  The result is therefore the one all
+    80 steps give; at the convex-small-k specs tried the stop comes after
+    57 steps.
     """
     r = len(bin_lengths)
     q = 49 + max(0, int(math.floor(math.log2(r))))
@@ -360,8 +400,12 @@ def _convex_scale(
     for _ in range(80):
         mid = (lo + hi) / 2.0
         if mass(mid) > target:
+            if mid == hi:
+                break
             hi = mid
         else:
+            if mid == lo:
+                break
             lo = mid
     return (lo + hi) / 2.0, q
 

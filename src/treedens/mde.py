@@ -8,8 +8,8 @@ term, so selection costs little even when the candidate list mixes good and
 terrible estimates.
 
 The m candidates' comparison sets come from one (m, k) block of
-``vals[i] > vals`` per candidate i, packed to bits and deduplicated with
-``np.unique``.  Extra memory is O(m k) for one block plus the distinct
+``vals[i] > vals`` per candidate i, packed to bits and deduplicated by
+their bytes.  Extra memory is O(m k) for one block plus the distinct
 sets; the (m, m, k) tensor of all pairs is never built.
 """
 
@@ -92,28 +92,32 @@ def _comparison_masks(vals: np.ndarray) -> np.ndarray:
     """Distinct rows vals[i] > vals[j], i != j, as a (d, k) bool matrix.
 
     Rows keep the order of their first appearance among the pairs in
-    lexicographic (i, j) order.  Candidate i's m - 1 comparisons are one
-    block: its distinct packed rows are found by ``np.unique`` and those not
-    seen in an earlier block are kept in the order of their first index.
+    lexicographic (i, j) order.  Candidate i's comparisons are one (m, k)
+    block ``vals[i] > vals``, packed to bits as one bytes buffer.  The key
+    of pair (i, j) is the buffer's row-j slice; the pairs are scanned in
+    (i, j) order, skipping j == i, against one set of the keys seen so far,
+    and each block keeps its rows whose key is new.
     """
     m, k = vals.shape
     if m < 2:
         return np.zeros((0, k), dtype=bool)
     if k == 0:
         return np.zeros((1, 0), dtype=bool)
+    width = (k + 7) // 8
     seen: set[bytes] = set()
     out: list[np.ndarray] = []
     for i in range(m):
-        block = np.delete(vals[i] > vals, i, axis=0)
-        packed = np.packbits(block, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first = np.unique(keys, return_index=True)
-        for row in np.sort(first).tolist():
-            key = keys[row].tobytes()
-            if key not in seen:
+        block = vals[i] > vals
+        buf = np.packbits(block, axis=1).tobytes()
+        keep = []
+        for j in range(m):
+            key = buf[j * width : (j + 1) * width]
+            if j != i and key not in seen:
                 seen.add(key)
-                out.append(block[row])
-    return np.stack(out)
+                keep.append(j)
+        if keep:
+            out.append(block[keep])
+    return np.concatenate(out)
 
 
 def yatracos_class(cs: CandidateSet) -> list[frozenset[int]]:

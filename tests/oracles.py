@@ -12,6 +12,8 @@ before the fast paths existed and stay frozen.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -665,3 +667,32 @@ def random_monotone_mixture(rng: np.random.Generator, k: int) -> np.ndarray:
     w = rng.dirichlet(np.ones(4))
     w = (w + np.array([0.0, 0.05, 0.05, 0.0])) / (1.0 + 0.1)
     return w[0] * uni + w[1] * har + w[2] * geo + w[3] * lin
+
+
+# --- densities as first written ----------------------------------------------
+
+
+def ref_family_mass(name: str, k: int, param: float | None = None) -> np.ndarray:
+    """A family member's mass, each normalizing total taken by math.fsum
+    over one full Python list; linear-decreasing sits on its dyadic grid."""
+    if name == "linear-decreasing":
+        total = k * (k + 1) // 2
+        q = 30 + total.bit_length()
+        return np.arange(k, 0, -1, dtype=float) * (round(2**q / total) * 2.0**-q)
+    if name == "uniform":
+        w = np.ones(k)
+    elif name == "harmonic-zipf":
+        w = 1.0 / np.arange(1, k + 1, dtype=float)
+    else:
+        w = (0.9 if param is None else param) ** np.arange(k, dtype=float)
+    return w / math.fsum(w.tolist())
+
+
+def ref_density_to_csv(mass) -> str:
+    """(index, mass) rows through csv.writer, one atom at a time."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["index", "mass"])
+    for i, v in enumerate(mass, start=1):
+        w.writerow([i, repr(float(v))])
+    return buf.getvalue()

@@ -99,3 +99,36 @@ def test_tracer_sees_the_fit_once_path_and_a_cli_estimate(capsys):
         assert ("sampling.sample", op) not in calls, est
     for layer in ("risk_lab.fit_estimate", "partition_trees.build", "partition_trees.estimate"):
         assert calls.get((layer, cli_op)) == 1, layer
+
+
+def test_tracer_sees_an_mde_and_an_assouad_request(capsys):
+    candidates = ",".join(f"trunc-geometric:{p}" for p in (0.85, 0.9, 0.95, 0.99))
+    requests = [
+        ["mde", "--candidates", candidates, "--family", "trunc-geometric",
+         "--k", str(K), "--n", str(N), "--seed", str(SEED)],
+        ["assouad", "--regime", "convex-small-k", "--k", "30", "--n", str(N)],
+    ]
+    plain = []
+    for argv in requests:
+        assert treedens.cli.run(argv) == 0
+        plain.append(capsys.readouterr().out)
+
+    tracer = load_tracing().Tracer(treedens)
+    tracer.install()
+    try:
+        traced = []
+        for op, argv in enumerate(requests):
+            tracer.op = op
+            assert treedens.cli.run(argv) == 0
+            traced.append(capsys.readouterr().out)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+
+    names = {op: set() for op in range(len(requests))}
+    for _, name, _, _, _, op, _ in tracer.spans:
+        names[op].add(name)
+    assert {"mde.candidate_set", "mde.select", "mde.yatracos_class",
+            "densities.family"} <= names[0]
+    assert {"hypercubes.spec", "hypercubes.assouad_density",
+            "densities.shape_check"} <= names[1]

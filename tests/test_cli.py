@@ -180,6 +180,45 @@ def test_assouad_r_without_epsilon_rejected(capsys):
     assert "--epsilon" in err
 
 
+@pytest.mark.parametrize(
+    "regime, eps, r",
+    [("monotone-large-k", "0.1", "5000"), ("convex-large-k", "0.5", "2000"),
+     ("monotone-large-k", "1e-9", "1000000"), ("convex-large-k", "1e-9", "1000000")],
+)
+def test_assouad_too_many_bins_is_one_line_error(capsys, regime, eps, r):
+    # many growing bins once overflowed float arithmetic (a bare
+    # OverflowError) or were built one by one before the fit check
+    code, out, err = _capture(
+        capsys,
+        ["assouad", "--regime", regime, "--k", "10", "--n", "100", "--epsilon", eps, "--r", r],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("treedens assouad: bins need at least") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "message, argv",
+    [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+         "and data type float64",
+         ["estimate", "--family", "uniform", "--k", "100000000000", "--n", "10",
+          "--estimator", "oracle"]),
+        ("", ["mde", "--candidates", "uniform", "--family", "uniform", "--k", "4", "--n", "10"]),
+    ],
+)
+def test_memory_error_is_one_line_error(capsys, monkeypatch, message, argv):
+    import treedens.cli as cli
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "family", out_of_memory)
+    code, out, err = _capture(capsys, argv)
+    detail = f": {message}" if message else ""
+    assert (code, out, err) == (1, "", f"treedens {argv[0]}: out of memory{detail}\n")
+
+
 def test_vc_csv(capsys):
     code, out, _ = _capture(capsys, ["vc", "--ell", "2", "--m", "8"])
     assert code == 0

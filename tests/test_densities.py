@@ -1,14 +1,26 @@
 import json
+import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import treedens.densities as densities
+from oracles import ref_density_to_csv, ref_family_mass
 from treedens import (
     FAMILY_NAMES,
+    NORMALIZATION_TOL,
     DiscreteDensity,
+    HypercubeSpec,
+    Regime,
     NegativeMass,
     NotNormalized,
     BadParam,
+    assouad_default_params,
+    assouad_density,
     density_from_csv,
     density_from_json,
     family,
@@ -32,6 +44,11 @@ def test_two_atom():
 def test_not_normalized():
     with pytest.raises(NotNormalized):
         make_density([0.5, 0.6])
+
+
+def test_total_past_the_largest_float_is_not_normalized():
+    with pytest.raises(NotNormalized, match="^mass sums to inf, not 1$"):
+        make_density([1e308, 1e308, 0.0])
 
 
 def test_negative_mass_wins_over_normalization():
@@ -147,3 +164,139 @@ def test_mass_is_immutable():
     f = family("uniform", 3)
     with pytest.raises(ValueError):
         f.mass[0] = 0.9
+
+
+# --- normalization is decided as fsum decides it -----------------------------
+
+
+def _fsum_verdict(m: np.ndarray):
+    """None when fsum accepts the mass, else the NotNormalized message."""
+    total = math.fsum(m.tolist())
+    return None if abs(total - 1.0) <= NORMALIZATION_TOL else f"mass sums to {total!r}, not 1"
+
+
+def _check_as_fsum(m: np.ndarray) -> None:
+    want = _fsum_verdict(m)
+    if want is None:
+        assert np.array_equal(DiscreteDensity(k=m.shape[0], mass=m).mass, m)
+    else:
+        with pytest.raises(NotNormalized) as err:
+            DiscreteDensity(k=m.shape[0], mass=m)
+        assert str(err.value) == want
+
+
+@st.composite
+def _mass_near_bound(draw):
+    """Non-negative vectors with zeros, subnormals and a wide exponent
+    spread, their exact total put a few ulps either side of 1 +- tol, at
+    1, or far from 1, by setting the largest atom."""
+    k = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0, 8, 60, 400, 1100]))
+    m = rng.random(k) * 2.0 ** -rng.integers(0, spread + 1, size=k).astype(float)
+    m[rng.random(k) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    subnormal = rng.random(k) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    m[subnormal] = rng.integers(1, 2**40, size=int(subnormal.sum())) * 5e-324
+    j = int(np.argmax(m))
+    m[j] = max(m[j], 0.25)
+    m /= math.fsum(m.tolist())
+    centre = draw(st.sampled_from([
+        1 + Fraction(NORMALIZATION_TOL), 1 - Fraction(NORMALIZATION_TOL), Fraction(1),
+        Fraction(1 + 1e-6), Fraction(1 - 1e-6), Fraction(3, 2),
+    ]))
+    target = centre + draw(st.integers(-6, 6)) * Fraction(2) ** -53
+    rest = sum(Fraction(v) for i, v in enumerate(m.tolist()) if i != j)
+    m[j] = float(target - rest)
+    assume(m[j] >= 0.0)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_mass_near_bound())
+def test_normalization_is_decided_as_fsum_decides(m):
+    _check_as_fsum(m)
+
+
+def _largest_accepted() -> float:
+    x = 1.0 + NORMALIZATION_TOL
+    while x - 1.0 > NORMALIZATION_TOL:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def test_float_sum_inside_but_fsum_outside():
+    # x is the largest double fsum accepts; the two tiny atoms vanish in a
+    # left-to-right float sum but push the correctly rounded total past x
+    x = _largest_accepted()
+    t = 0.375 * (math.nextafter(x, 2.0) - x)
+    m = np.array([x, t, t])
+    assert abs(float(m.sum()) - 1.0) <= NORMALIZATION_TOL
+    assert _fsum_verdict(m) is not None
+    _check_as_fsum(m)
+    _check_as_fsum(np.array([x]))
+
+
+def test_sum_shortcut_margin_grows_with_k(monkeypatch):
+    decides = densities._sum_decides
+    assert decides(1.0, 1) and decides(1.0, 4_000_000)
+    assert not decides(1.0, 4_600_000)
+    assert decides(1.0 + 5e-10, 10) and not decides(1.0 + 5e-10, 3_000_000)
+    assert not decides(1.0 + NORMALIZATION_TOL, 1) and not decides(1.0 - NORMALIZATION_TOL, 1)
+
+    calls = []
+    fsum = densities._fsum
+    monkeypatch.setattr(densities, "_fsum", lambda a: calls.append(a.shape[0]) or fsum(a))
+    make_density(np.full(1000, 1e-3))
+    assert calls == []
+    make_density([1.0 + 0.9 * NORMALIZATION_TOL])
+    assert calls == []
+    make_density([_largest_accepted()])
+    with pytest.raises(NotNormalized):
+        make_density([0.5, 0.6])
+    assert calls == [1, 2]
+
+
+# --- family bits and memory ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_bits_equal_full_list_fsum(name):
+    ks = [1, 2, 3, 17, 768, 65535, 65536, 65537, 3 * 65536 + 5, 2**20]
+    for k in ks:
+        assert np.array_equal(family(name, k).mass, ref_family_mass(name, k)), (name, k)
+    if name == "trunc-geometric":
+        for p in (0.5, 0.999, 1e-3):
+            assert np.array_equal(family(name, 70_000, p).mass, ref_family_mass(name, 70_000, p))
+
+
+def test_family_peak_memory_stays_near_the_array():
+    tracemalloc.start()
+    try:
+        f = family("harmonic-zipf", 2**21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the mass, one working array and one 64 Ki-atom list chunk
+    assert peak <= 3 * f.mass.nbytes
+
+
+# --- csv bytes -----------------------------------------------------------------
+
+
+def _assouad_members():
+    specs = [
+        HypercubeSpec(Regime.MONOTONE_LARGE_K, 1000, 200, 4, 0.3, (0, 1, 1, 0)),
+        HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 50, 4, 0.2, (1, 0, 1, 0)),
+        HypercubeSpec(Regime.CONVEX_LARGE_K, 777, 500, 4, 0.3, (0, 1, 1, 0)),
+    ]
+    r, eps = assouad_default_params(Regime.CONVEX_SMALL_K, 10_000, 768)
+    specs.append(HypercubeSpec(Regime.CONVEX_SMALL_K, 10_000, 768, r, eps, (1, 0) * (r // 2)))
+    return [assouad_density(s) for s in specs]
+
+
+def test_to_csv_bytes_equal_csv_writer():
+    members = [family(name, k) for name in FAMILY_NAMES for k in (1, 2, 3, 768, 4096)]
+    members += _assouad_members()
+    members.append(make_density([0.5, 0.5 - 2e-323, 0.0, 5e-324, 1.5e-323, -0.0]))
+    for f in members:
+        assert f.to_csv() == ref_density_to_csv(f.mass)

@@ -19,7 +19,7 @@ from treedens import (
     is_convex_non_increasing,
     is_non_increasing,
 )
-from treedens.hypercubes import _convex_grid, _convex_scale, _triple_bins
+from treedens.hypercubes import _convex_grid, _convex_scale, _even_bins, _triple_bins
 
 RNG = np.random.default_rng(2024)
 
@@ -139,6 +139,52 @@ def test_infeasible_bins_raise():
     # r bins of growing length cannot fit in a tiny domain
     with pytest.raises(InfeasibleSpec):
         HypercubeSpec(Regime.MONOTONE_LARGE_K, 10**6, 8, 20, 0.01, (0,) * 20)
+    with pytest.raises(InfeasibleSpec, match="^bins need 12 atoms but the support has only 10$"):
+        HypercubeSpec(Regime.MONOTONE_SMALL_K, 100, 10, 6, 0.2, (0,) * 6)
+
+
+MLK, CLK = Regime.MONOTONE_LARGE_K, Regime.CONVEX_LARGE_K
+
+
+@pytest.mark.parametrize("regime, width", [(MLK, 2), (CLK, 3)])
+def test_too_many_bins_rejected_before_any_bin_is_built(monkeypatch, regime, width):
+    import treedens.hypercubes as hc
+
+    def unreachable(*args):
+        raise AssertionError("bins built for an r that cannot fit")
+
+    monkeypatch.setattr(hc, "_even_bins", unreachable)
+    monkeypatch.setattr(hc, "_triple_bins", unreachable)
+    r = 10**6
+    message = f"^bins need at least {width * r} atoms but the support has only 10$"
+    with pytest.raises(InfeasibleSpec, match=message):
+        HypercubeSpec(regime, 100, 10, r, 1e-9, (0,) * r)
+
+
+@pytest.mark.parametrize("regime, eps", [(MLK, 0.3), (CLK, 0.5)])
+def test_growing_bins_stop_once_past_k(regime, eps):
+    # without the stop, 10**5 bins grow until float arithmetic overflows
+    r = 10**5
+    message = "^bins need more than 1000000 atoms but the support has only 1000000$"
+    with pytest.raises(InfeasibleSpec, match=message):
+        HypercubeSpec(regime, 100, 10**6, r, eps, (0,) * r)
+
+
+@pytest.mark.parametrize("regime, eps, r", [(MLK, 0.1, 5000), (CLK, 0.5, 2000)])
+def test_bin_length_overflow_is_infeasible(regime, eps, r):
+    # k is past any float, so the lengths overflow before their total passes k
+    with pytest.raises(InfeasibleSpec, match="overflow"):
+        HypercubeSpec(regime, 100, 10**400, r, eps, (0,) * r)
+
+
+@pytest.mark.parametrize("regime, build", [(MLK, _even_bins), (CLK, _triple_bins)])
+def test_full_sum_message_where_the_sum_is_computed(regime, build):
+    lengths = build(5, 0.2)
+    need = sum(lengths)
+    message = f"^bins need {need} atoms but the support has only {need - 1}$"
+    with pytest.raises(InfeasibleSpec, match=message):
+        HypercubeSpec(regime, 100, need - 1, 5, 0.2, (0,) * 5)
+    assert HypercubeSpec(regime, 100, need, 5, 0.2, (0,) * 5).bin_lengths == lengths
 
 
 def test_alpha_beta_formulas():
