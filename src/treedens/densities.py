@@ -54,7 +54,10 @@ class DiscreteDensity:
 
     def __post_init__(self):
         # own copy, frozen: instances are shared across threads unguarded
-        m = np.array(self.mass, dtype=float)
+        try:
+            m = np.array(self.mass, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadParam(f"mass must be a vector of numbers: {exc}") from None
         if self.k < 1 or m.shape != (self.k,):
             raise BadParam(f"mass must be a length-{self.k} vector")
         if not np.all(np.isfinite(m)):
@@ -121,9 +124,24 @@ def make_density(mass) -> DiscreteDensity:
     Raises BadParam on any NaN or infinite entry, NegativeMass on any
     negative entry (checked before normalization so [-0.1, 1.1] reports the
     sign problem, not the sum), NotNormalized when the total is off by more
-    than 1e-9.  No silent renormalization ever.
+    than 1e-9.  No silent renormalization ever.  A scalar, a string, None
+    or anything else that is not a sequence of numbers raises BadParam.
+
+    An ndarray is passed on as it is: DiscreteDensity's one conversion to
+    its own float array gives the bits that converting element by element
+    gives, without building a list.
     """
-    arr = np.asarray(list(mass), dtype=float)
+    if isinstance(mass, (str, bytes)):
+        raise BadParam(f"mass must be a sequence of numbers, not {type(mass).__name__}")
+    if isinstance(mass, np.ndarray):
+        arr = mass
+    else:
+        try:
+            arr = np.asarray(list(mass), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadParam(f"mass must be a sequence of numbers: {exc}") from None
+    if arr.ndim == 0:
+        raise BadParam("mass must be a sequence of numbers, not a 0-d array")
     return DiscreteDensity(k=int(arr.shape[0]), mass=arr)
 
 

@@ -6,9 +6,9 @@ One builder makes all four trees.  It walks top-down: a node covering a
 single atom is a leaf, and any other node splits into equal consecutive
 halves (arity 2) or thirds (arity 3) when a rule over its children's
 totals fires.  The greedy trees total the sample counts, and their rules
-run in exact Python ints; the idealized trees total the true masses and
-are deterministic in them.  A built tree keeps only its leaves, as
-(start, length) spans in left-to-right order.
+run in exact Python ints, also past the int64 range; the idealized trees
+total the true masses and are deterministic in them.  A built tree keeps
+only its leaves, as (start, length) spans in left-to-right order.
 
 The estimates are piecewise functions over the leaf intervals, truncated
 back to {1, ..., k}.  Truncation can shave off mass that a boundary leaf
@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import ge
 
 import numpy as np
@@ -119,26 +121,37 @@ def greedy_ternary_split_decision(n_left: int, n_mid: int, n_right: int) -> bool
     return d > 0 and d * d > n_left + n_mid + n_right
 
 
-def _cumulative(values: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.zeros(1, values.dtype), np.cumsum(values)])
+def _prefix(values: np.ndarray):
+    """The running totals of values from a leading 0, read as Python
+    scalars: a memoryview of the cumulative array, so reading one costs no
+    ndarray method call and no k-element list is made."""
+    cum = np.zeros(values.size + 1, values.dtype)
+    values.cumsum(out=cum[1:])
+    return memoryview(cum)
 
 
-def _build_tree(arity: int, values: np.ndarray, rule) -> PartitionTree:
-    """The tree over the padded domain of values in which a node splits
+def _count_prefix(sc: SampleCounts):
+    """_prefix of the counts.  The running totals never exceed n, so they
+    fit int64 below n = 2**63; from there on they are Python ints, as the
+    int64 cumulative array would wrap."""
+    if sc.n < 2**63:
+        return _prefix(sc.counts)
+    return list(accumulate(sc.counts.tolist(), initial=0))
+
+
+def _build_tree(arity: int, k: int, at, rule) -> PartitionTree:
+    """The tree over the padded domain of k values in which a node splits
     when rule(*totals) holds, totals being its children's sums of values.
 
-    Each node reads its arity + 1 edges of the cumulative array once, an
-    edge past the last atom reading the full total.  Int values give
-    Python int totals.  The walk is depth-first over an explicit stack, so
-    deep trees cannot hit recursion limits; children are pushed right to
-    left, so leaves come off the stack in left-to-right order.
+    at is the values' running totals (_prefix).  Each node reads its
+    arity + 1 edges of it once, an edge past the last atom reading the
+    full total.  The walk is depth-first over an explicit stack, so deep
+    trees cannot hit recursion limits; children are pushed right to left,
+    so leaves come off the stack in left-to-right order.
     """
-    k = values.size
     padded_k = pad_to_power(k, arity)
-    at = _cumulative(values).item
     spans: list[tuple[int, int]] = []
     stack = [(1, padded_k)]
-    right_to_left = range(arity - 1, -1, -1)
     while stack:
         start, length = stack.pop()
         if length > 1:
@@ -146,28 +159,20 @@ def _build_tree(arity: int, values: np.ndarray, rule) -> PartitionTree:
             e0 = start - 1
             e1 = e0 + child
             e2 = e1 + child
-            c0 = at(e0 if e0 < k else k)
-            c1 = at(e1 if e1 < k else k)
-            c2 = at(e2 if e2 < k else k)
+            c0 = at[e0 if e0 < k else k]
+            c1 = at[e1 if e1 < k else k]
+            c2 = at[e2 if e2 < k else k]
             if arity == 2:
-                split = rule(c1 - c0, c2 - c1)
+                if rule(c1 - c0, c2 - c1):
+                    stack += ((e1 + 1, child), (start, child))
+                    continue
             else:
                 e3 = e2 + child
-                split = rule(c1 - c0, c2 - c1, at(e3 if e3 < k else k) - c2)
-            if split:
-                stack += [(start + j * child, child) for j in right_to_left]
-                continue
+                if rule(c1 - c0, c2 - c1, at[e3 if e3 < k else k] - c2):
+                    stack += ((e2 + 1, child), (e1 + 1, child), (start, child))
+                    continue
         spans.append((start, length))
     return PartitionTree(arity=arity, padded_k=padded_k, spans=tuple(spans))
-
-
-def _leaf_totals(cum: np.ndarray, starts, lengths) -> list:
-    """Sums of the values over many intervals at once, from their
-    cumulative array; as in _build_tree, the padding holds nothing."""
-    k = cum.size - 1
-    lo = np.minimum(np.asarray(starts) - 1, k)
-    hi = np.minimum(lo + np.asarray(lengths), k)
-    return (cum[hi] - cum[lo]).tolist()
 
 
 def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
@@ -175,7 +180,7 @@ def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
     by more than a standard deviation's worth."""
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    return _build_tree(2, sc.counts, greedy_split_decision)
+    return _build_tree(2, sc.k, _count_prefix(sc), greedy_split_decision)
 
 
 def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
@@ -185,14 +190,16 @@ def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
         raise BadParam("n must be >= 1")
     if not is_non_increasing(f):
         raise NotMonotone("the idealized binary tree needs a non-increasing density")
-    return _build_tree(2, f.mass, lambda fv, fw: fv - fw > math.sqrt((fv + fw) / n))
+    return _build_tree(
+        2, f.k, _prefix(f.mass), lambda fv, fw: fv - fw > math.sqrt((fv + fw) / n)
+    )
 
 
 def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
     """Sample-driven ternary tree splitting on the thirds' count curvature."""
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    return _build_tree(3, sc.counts, greedy_ternary_split_decision)
+    return _build_tree(3, sc.k, _count_prefix(sc), greedy_ternary_split_decision)
 
 
 def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
@@ -203,7 +210,10 @@ def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
     if not is_convex_non_increasing(f):
         raise NotConvex("the idealized ternary tree needs a convex non-increasing density")
     return _build_tree(
-        3, f.mass, lambda fv, fw, fr: fv - 2.0 * fw + fr > math.sqrt((fv + fw + fr) / n)
+        3,
+        f.k,
+        _prefix(f.mass),
+        lambda fv, fw, fr: fv - 2.0 * fw + fr > math.sqrt((fv + fw + fr) / n),
     )
 
 
@@ -371,25 +381,27 @@ class PiecewiseEstimate:
         return "\n".join(lines) + "\n"
 
 
-def _cut(k: int, starts, lengths, linear, values, slopes, intercepts) -> PiecewiseEstimate:
-    """The estimate of columns that tile 1..padded_k, cut back to 1..k:
-    pieces starting past k are dropped and the one across k is shortened."""
-    m = bisect_right(starts, k)
-    return PiecewiseEstimate._from_columns(
-        k,
-        tuple(starts[:m]),
-        (*lengths[: m - 1], k - starts[m - 1] + 1),
-        tuple(linear[:m]),
-        tuple(values[:m]),
-        tuple(slopes[:m]),
-        tuple(intercepts[:m]),
-    )
+# The builders below lay an estimate's pieces out flat, one row of six
+# after another in the column order (start, length, linear, value, slope,
+# intercept), for the leaves that start inside 1..k.
 
 
-def _cut_constant(k: int, starts, lengths, values) -> PiecewiseEstimate:
-    """_cut for constant pieces, whose slopes and intercepts are 0.0."""
-    zeros = (0.0,) * len(values)
-    return _cut(k, starts, lengths, (False,) * len(values), values, zeros, zeros)
+def _constant_row(start: int, length: int, value) -> tuple:
+    return (start, length, False, value, 0.0, 0.0)
+
+
+def _linear_row(start: int, length: int, slope: float, intercept: float) -> tuple:
+    return (start, length, True, 0.0, slope, intercept)
+
+
+def _from_rows(k: int, flat: list) -> PiecewiseEstimate:
+    """The estimate of flat rows that tile 1..k and possibly past it, cut
+    back to 1..k: a row starting past k is dropped and the last one is
+    shortened to end at k."""
+    while flat[-6] > k:
+        del flat[-6:]
+    flat[-5] = k - flat[-6] + 1
+    return PiecewiseEstimate._from_columns(k, *[tuple(flat[i::6]) for i in range(6)])
 
 
 def _scaled(est: PiecewiseEstimate, renormalize: bool) -> PiecewiseEstimate:
@@ -424,19 +436,18 @@ def histogram_estimate(
     """Leaf-interval histogram: each leaf gets its count spread uniformly
     over the leaf's full padded width."""
     _check_tree(t, sc.k, "counts")
-    n = sc.n
+    k, n = sc.k, sc.n
     if n < 1:
         raise BadParam("need at least one sample")
-    starts, lengths = zip(*t.spans)
-    counts = _leaf_totals(_cumulative(sc.counts), starts, lengths)
-    values = [c / (n * l) for l, c in zip(lengths, counts)]
-    return _scaled(_cut_constant(sc.k, starts, lengths, values), renormalize)
-
-
-def _atom(values: np.ndarray, x: int):
-    # direct read so singleton leaves reproduce f bit for bit; a difference
-    # of cumulative float sums would round the same value twice
-    return values.item(x - 1) if x <= values.size else 0.0
+    at = _count_prefix(sc)
+    flat = []
+    for start, length in t.spans:
+        if start > k:
+            break
+        end = start - 1 + length
+        count = at[end if end < k else k] - at[start - 1]
+        flat += _constant_row(start, length, count / (n * length))
+    return _scaled(_from_rows(k, flat), renormalize)
 
 
 def idealized_pc_estimate(
@@ -444,23 +455,33 @@ def idealized_pc_estimate(
 ) -> PiecewiseEstimate:
     """Piecewise-constant projection of f itself onto the leaf partition."""
     _check_tree(t, f.k, "density")
-    starts, lengths = zip(*t.spans)
-    masses = _leaf_totals(_cumulative(f.mass), starts, lengths)
-    values = [
-        _atom(f.mass, s) if l == 1 else m / l for s, l, m in zip(starts, lengths, masses)
-    ]
-    return _scaled(_cut_constant(f.k, starts, lengths, values), renormalize)
+    k = f.k
+    at, mass = _prefix(f.mass), memoryview(f.mass)
+    flat = []
+    for start, length in t.spans:
+        if start > k:
+            break
+        end = start - 1 + length
+        # singleton leaves read f directly, so they reproduce it bit for
+        # bit; a difference of cumulative float sums would round twice
+        if length == 1:
+            value = mass[start - 1]
+        else:
+            value = (at[end if end < k else k] - at[start - 1]) / length
+        flat += _constant_row(start, length, value)
+    return _scaled(_from_rows(k, flat), renormalize)
 
 
-def _outer_thirds(values: np.ndarray, t: PartitionTree):
-    """Per leaf: (start, length, third, left-third total, right-third total).
-    Singleton leaves have third 0 and zero totals."""
-    starts, lengths = zip(*t.spans)
-    thirds = [l // 3 for l in lengths]
-    rights = [s + 2 * d for s, d in zip(starts, thirds)]
-    totals = _leaf_totals(_cumulative(values), [*starts, *rights], thirds * 2)
-    m = len(starts)
-    return zip(starts, lengths, thirds, totals[:m], totals[m:])
+def _outer_thirds(at, k: int, start: int, third: int):
+    """The totals over a leaf's left and right thirds, from the running
+    totals at; the leaf starts inside 1..k."""
+    e1 = start - 1 + third
+    e2 = e1 + third
+    e3 = e2 + third
+    return (
+        at[e1 if e1 < k else k] - at[start - 1],
+        at[e3 if e3 < k else k] - at[e2 if e2 < k else k],
+    )
 
 
 def _fitted_line(start: int, third: int, avg_left: float, avg_right: float):
@@ -470,18 +491,6 @@ def _fitted_line(start: int, third: int, avg_left: float, avg_right: float):
     slope = (avg_right - avg_left) / (2.0 * third)
     intercept = avg_left - slope * mid_left
     return slope, intercept
-
-
-# The piece rows the line-fit builders collect, in the column order
-# (start, length, linear, value, slope, intercept).
-
-
-def _constant_row(start: int, length: int, value) -> tuple:
-    return (start, length, False, value, 0.0, 0.0)
-
-
-def _linear_row(start: int, length: int, slope: float, intercept: float) -> tuple:
-    return (start, length, True, 0.0, slope, intercept)
 
 
 def idealized_pl_estimate(
@@ -494,38 +503,40 @@ def idealized_pl_estimate(
     _check_tree(t, f.k, "density")
     if t.arity != 3:
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
-    rows = []
-    for start, length, third, left, right in _outer_thirds(f.mass, t):
+    k = f.k
+    at, mass = _prefix(f.mass), memoryview(f.mass)
+    flat = []
+    for start, length in t.spans:
+        if start > k:
+            break
         if length == 1:
-            rows.append(_constant_row(start, 1, _atom(f.mass, start)))
+            flat += _constant_row(start, 1, mass[start - 1])
             continue
+        third = length // 3
+        left, right = _outer_thirds(at, k, start, third)
         slope, intercept = _fitted_line(start, third, left / third, right / third)
-        rows.append(_linear_row(start, length, slope, intercept))
-    return _scaled(_cut(f.k, *zip(*rows)), renormalize)
+        flat += _linear_row(start, length, slope, intercept)
+    return _scaled(_from_rows(k, flat), renormalize)
 
 
-def _clamped_linear(start: int, length: int, slope: float, intercept: float) -> list[tuple]:
-    """Split a fitted line into a linear part and a zero ledge where it goes
-    negative.  The line is >= 0 between the two fitted midpoints, so the
-    negative atoms form a run at one end of the leaf.  Rounding is
-    monotone, so the computed values are monotone in x too: a line that
-    is not negative at either end is negative nowhere, and the run's end
-    can be found by bisection."""
-    last = start + length - 1
-    if not (slope * start + intercept < 0.0 or slope * last + intercept < 0.0):
-        return [_linear_row(start, length, slope, intercept)]
+def _clamped_linear(start: int, length: int, slope: float, intercept: float) -> tuple:
+    """The rows of a fitted line that is negative at an end of its leaf,
+    split into a linear part and a zero ledge where it goes negative.  The
+    line is >= 0 between the two fitted midpoints, so the negative atoms
+    form a run at one end of the leaf.  Rounding is monotone, so the
+    computed values are monotone in x too: a line that is not negative at
+    either end is negative nowhere, and the run's end can be found by
+    bisection."""
     atoms = range(start, start + length)
     if slope < 0.0:
         keep = bisect_left(atoms, True, key=lambda x: slope * x + intercept < 0.0)
-        return [
-            _linear_row(start, keep, slope, intercept),
-            _constant_row(start + keep, length - keep, 0.0),
-        ]
+        return _linear_row(start, keep, slope, intercept) + _constant_row(
+            start + keep, length - keep, 0.0
+        )
     ledge = bisect_left(atoms, True, key=lambda x: slope * x + intercept >= 0.0)
-    return [
-        _constant_row(start, ledge, 0.0),
-        _linear_row(start + ledge, length - ledge, slope, intercept),
-    ]
+    return _constant_row(start, ledge, 0.0) + _linear_row(
+        start + ledge, length - ledge, slope, intercept
+    )
 
 
 def greedy_pl_estimate(
@@ -538,19 +549,35 @@ def greedy_pl_estimate(
     _check_tree(t, sc.k, "counts")
     if t.arity != 3:
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
-    n = sc.n
+    k, n = sc.k, sc.n
     if n < 1:
         raise BadParam("need at least one sample")
-    rows = []
-    for start, length, third, left, right in _outer_thirds(sc.counts, t):
+    at = _count_prefix(sc)
+    flat = []
+    for start, length in t.spans:
+        if start > k:
+            break
         if length == 1:
-            rows.append(_constant_row(start, 1, _atom(sc.counts, start) / n))
+            flat += _constant_row(start, 1, (at[start] - at[start - 1]) / n)
             continue
-        avg_left = left / (n * third)
-        avg_right = right / (n * third)
-        slope, intercept = _fitted_line(start, third, avg_left, avg_right)
-        rows += _clamped_linear(start, length, slope, intercept)
-    return _scaled(_cut(sc.k, *zip(*rows)), renormalize)
+        third = length // 3
+        left, right = _outer_thirds(at, k, start, third)
+        slope, intercept = _fitted_line(start, third, left / (n * third), right / (n * third))
+        if slope * start + intercept < 0.0 or slope * (start + length - 1) + intercept < 0.0:
+            flat += _clamped_linear(start, length, slope, intercept)
+        else:
+            flat += _linear_row(start, length, slope, intercept)
+    return _scaled(_from_rows(k, flat), renormalize)
+
+
+def _ratio(v) -> tuple[int, int]:
+    """v as an exact (numerator, denominator) pair.  Integers without
+    as_integer_ratio, such as numpy's, are the ints they equal."""
+    if hasattr(v, "as_integer_ratio"):
+        return v.as_integer_ratio()
+    if isinstance(v, numbers.Integral):
+        return int(v), 1
+    raise BadParam(f"piece value {v!r} has no exact ratio")
 
 
 def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
@@ -576,7 +603,10 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
         return PiecewiseEstimate._from_columns(
             e.domain_k, e.starts, lengths, e.linear, values, zeros, zeros
         )
-    ratios = [v.as_integer_ratio() for v in values]
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:
+        ratios = [_ratio(v) for v in values]
     den = max(d for _, d in ratios)
     # block: [first piece index, last piece index, atom length, total * den]
     blocks: list[list] = []

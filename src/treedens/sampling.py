@@ -11,6 +11,13 @@ and each CDF edge is located among them, so a draw u lands on the atom j
 with edges[j-1] <= u < edges[j].  That costs O(n log n + k log n) time and
 one 8n-byte buffer (the uniforms themselves); no per-draw index array is
 ever built.
+
+sample wraps its counts with the unchecked SampleCounts._trusted rather
+than the public constructor: they are the differences of a non-decreasing
+int64 sequence that runs from 0 to n, so they are already a C-contiguous
+int64 vector of k non-negative entries summing to n, and every check the
+public constructor makes holds by construction.  SampleCounts(k, n, counts)
+called from anywhere else keeps every check.
 """
 
 from __future__ import annotations
@@ -66,6 +73,14 @@ class SampleCounts:
         if total != self.n:
             raise BadParam(f"counts sum to {total}, not n={self.n}")
 
+    @classmethod
+    def _trusted(cls, k: int, n: int, counts: np.ndarray) -> SampleCounts:
+        """Counts already known to be k non-negative C-contiguous int64
+        entries summing to n, wrapped without the checks."""
+        sc = cls.__new__(cls)
+        sc.__dict__.update(k=k, n=n, counts=counts)
+        return sc
+
     def frequencies(self) -> np.ndarray:
         """Empirical per-atom probabilities; the zero measure when n = 0."""
         if self.n == 0:
@@ -87,7 +102,7 @@ def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     if n < 0:
         raise BadParam("n must be >= 0")
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
-    return SampleCounts(k=density.k, n=n, counts=_counts_from_uniforms(density.mass, u))
+    return SampleCounts._trusted(density.k, n, _counts_from_uniforms(density.mass, u))
 
 
 def _counts_from_uniforms(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -100,11 +115,12 @@ def _counts_from_uniforms(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
     negative.
     """
     u.sort()
-    edges = np.cumsum(mass)
-    below = np.searchsorted(u, edges[:-1], side="left")
-    # one concatenate is cheaper than diff's prepend/append; at k = 1,
-    # below is empty and the single atom gets all u.size draws
-    return np.diff(np.concatenate(([0], below, [u.size])))
+    # below[j]: the draws under edges[j]; the last atom takes every draw
+    below = np.searchsorted(u, np.cumsum(mass), side="left")
+    below[-1] = u.size
+    counts = below.copy()
+    counts[1:] -= below[:-1]
+    return counts
 
 
 def interval_count(sc: SampleCounts, start: int, length: int) -> int:

@@ -74,7 +74,9 @@ def ref_greedy_binary_leaves(counts) -> list[tuple[int, int]]:
         half = length // 2
         nv = total(lo, lo + half)
         nw = total(lo + half, lo + length)
-        if abs(nv - nw) > math.sqrt(nv + nw):
+        # an integer exceeds sqrt(s) exactly when it exceeds isqrt(s); the
+        # float sqrt rounds once s passes 2**53
+        if abs(nv - nw) > math.isqrt(nv + nw):
             rec(lo, half)
             rec(lo + half, half)
         else:
@@ -131,7 +133,7 @@ def ref_greedy_ternary_leaves(counts) -> list[tuple[int, int]]:
         nw = total(lo + third, lo + 2 * third)
         nr = total(lo + 2 * third, lo + length)
         d = nv - 2 * nw + nr
-        if d > 0 and d > math.sqrt(nv + nw + nr):
+        if d > 0 and d > math.isqrt(nv + nw + nr):  # exact, as in the binary rule
             rec(lo, third)
             rec(lo + third, third)
             rec(lo + 2 * third, third)
@@ -488,17 +490,20 @@ def _ref_check_tree(t, k: int, what: str) -> None:
 
 
 def _ref_interval_totals(values, intervals) -> list:
-    """Sum over each (start, length) interval, clipped at k, as the
-    difference of two cumulative sums: the float expression the library
-    evaluates, one interval at a time."""
+    """Sum over each (start, length) interval, clipped at k.  Integer
+    values are added up in Python ints, so totals past int64 stay exact.
+    Float values take the difference of two cumulative sums: the float
+    expression the library evaluates, one interval at a time."""
     values = np.asarray(values)
-    cum = np.concatenate([np.zeros(1, values.dtype), np.cumsum(values)])
     k = values.size
+    exact = values.dtype.kind in "iu"
+    ints = values.tolist()
+    cum = np.concatenate([np.zeros(1, values.dtype), np.cumsum(values)])
     out = []
     for start, length in intervals:
         lo = min(start - 1, k)
         hi = min(lo + length, k)
-        out.append((cum[hi] - cum[lo]).item())
+        out.append(sum(ints[lo:hi]) if exact else (cum[hi] - cum[lo]).item())
     return out
 
 

@@ -300,3 +300,53 @@ def test_to_csv_bytes_equal_csv_writer():
     members.append(make_density([0.5, 0.5 - 2e-323, 0.0, 5e-324, 1.5e-323, -0.0]))
     for f in members:
         assert f.to_csv() == ref_density_to_csv(f.mass)
+
+
+# --- make_density on arrays and on inputs that are no sequence ---------------
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([0.5, 0.25, 0.25]),
+        np.array([0.5, 0.25, 0.25], dtype=np.float32),
+        np.array([0.0, 1.0, 0.0], dtype=np.float16),
+        np.array([1, 0], dtype=np.int64),
+        np.array([0, 1], dtype=np.uint8),
+        np.array([True, False]),
+        np.array([0.1] * 20)[::2],  # not contiguous
+        np.array([[0.5], [0.5]]).ravel(),
+        np.array([0.3, 0.7], dtype=object),
+    ],
+    ids=lambda a: f"{a.dtype}-{a.size}",
+)
+def test_make_density_array_bits_equal_list_path(arr):
+    want = np.asarray(list(arr), dtype=float)
+    got = make_density(arr).mass
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_make_density_array_peak_memory():
+    k = 2**20
+    for arr in (np.full(k, 1.0 / k), np.full(k, 1.0 / k, dtype=np.float32)):
+        tracemalloc.start()
+        try:
+            f = make_density(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.k == k
+        assert peak <= 3 * arr.nbytes, (arr.dtype, peak / arr.nbytes)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        0.5, 3, np.float64(1.0), np.array(1.0), None, "1", "0.5", b"1",
+        ["x", 1.0], [[1.0], [0.5, 0.5]], np.array(["0.5", "x"]),
+    ],
+    ids=repr,
+)
+def test_make_density_rejects_non_sequences(bad):
+    with pytest.raises(BadParam):
+        make_density(bad)

@@ -17,12 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    random_convex_mass,
+    random_monotone_mass,
     ref_atom_values,
     ref_eval,
+    ref_greedy_binary_leaves,
     ref_greedy_pl_estimate,
+    ref_greedy_ternary_leaves,
     ref_histogram_estimate,
+    ref_idealized_binary_leaves,
     ref_idealized_pc_estimate,
     ref_idealized_pl_estimate,
+    ref_idealized_ternary_leaves,
     ref_monotonize,
     ref_to_csv,
     ref_to_json,
@@ -35,6 +41,10 @@ from treedens import (
     PiecewiseEstimate,
     SampleCounts,
     TreedensError,
+    build_greedy_binary,
+    build_greedy_ternary,
+    build_idealized_binary,
+    build_idealized_ternary,
     fit_estimate,
     family,
     greedy_pl_estimate,
@@ -323,6 +333,25 @@ def test_monotonize_non_finite_values_still_raise(pieces, error):
         monotonize(_constant_estimate(pieces))
 
 
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [(1, np.int64(1)), (2, np.int64(3))],
+        [(2, np.int32(0)), (1, 0.5), (3, np.uint8(1)), (1, 0.25)],
+        [(1, np.int64(2**62)), (1, np.int64(2**62 + 1)), (2, 7)],
+    ],
+)
+def test_monotonize_pools_numpy_integers_exactly(pieces):
+    got = monotonize(_constant_estimate(pieces))
+    exact = [(l, int(v) if isinstance(v, np.integer) else v) for l, v in pieces]
+    assert [(p.length, p.value) for p in got.pieces] == ref_monotonize(exact)
+
+
+def test_monotonize_rejects_a_value_without_an_exact_ratio():
+    with pytest.raises(BadParam, match="no exact ratio"):
+        monotonize(_constant_estimate([(1, np.True_), (1, 2.0)]))
+
+
 # --- tree-free estimates through the CLI -------------------------------------
 
 # sha256 of `treedens estimate` stdout for the oracle and the empirical
@@ -359,3 +388,93 @@ def test_replications_and_serialization_make_no_piece(monkeypatch):
             _, fitted = fit_estimate(est, f, sample(f, 500, 2))
             fitted.to_json(), fitted.to_csv(), fitted.total_mass(), fitted(100)
     assert made == []
+
+
+# --- counts whose total passes int64 -----------------------------------------
+
+# SampleCounts sums counts in Python ints once max * k reaches 2**63, so n
+# can pass the int64 range; the builders must then total in Python ints too
+
+
+def test_greedy_binary_tree_with_a_total_past_int64():
+    sc = SampleCounts(k=2, n=2**63, counts=[2**62, 2**62])
+    assert build_greedy_binary(sc).spans == ((1, 2),)
+    assert build_greedy_binary(sc).leaf_intervals() == ref_greedy_binary_leaves(sc.counts)
+
+
+def test_greedy_ternary_tree_with_a_total_past_int64():
+    sc = SampleCounts(k=3, n=3 * 2**62, counts=[2**62] * 3)
+    assert build_greedy_ternary(sc).spans == ((1, 3),)
+    assert build_greedy_ternary(sc).leaf_intervals() == ref_greedy_ternary_leaves(sc.counts)
+
+
+def test_histogram_with_a_leaf_total_past_int64():
+    sc = SampleCounts(k=2, n=2**63, counts=[2**62, 2**62])
+    est = histogram_estimate(PartitionTree(2, 2, ((1, 2),)), sc)
+    assert est.values == (0.5,)
+    assert_same_estimate(est, ref_histogram_estimate(PartitionTree(2, 2, ((1, 2),)), sc))
+
+
+def test_greedy_pl_with_a_third_total_past_int64():
+    # the left third holds 3 * 2**62 draws and the right third none
+    sc = SampleCounts(k=9, n=3 * 2**62, counts=[2**62] * 3 + [0] * 6)
+    t = PartitionTree(3, 9, ((1, 9),))
+    est = greedy_pl_estimate(t, sc)
+    # the line from 1/3 down to 0 goes negative at atom 9 only
+    assert est.slopes == ((0.0 - 1 / 3) / 6.0, 0.0) and est.lengths == (8, 1)
+    assert_same_estimate(est, ref_greedy_pl_estimate(t, sc))
+
+
+# one count on each side of the guards: small, near 2**62 and near 2**63
+_big_count = st.one_of(
+    st.integers(0, 20),
+    st.integers(0, 10**6),
+    st.integers(2**62 - 4, 2**62 + 4),
+    st.integers(2**63 - 2**40, 2**63 - 1),
+    st.integers(0, 2**63 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(_big_count, min_size=1, max_size=40).filter(any),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_all_builders_match_references_up_to_and_past_the_int64_guard(counts, seed):
+    k, n = len(counts), sum(counts)
+    sc = SampleCounts(k=k, n=n, counts=np.array(counts, dtype=np.int64))
+    binary, ternary = build_greedy_binary(sc), build_greedy_ternary(sc)
+    assert binary.leaf_intervals() == ref_greedy_binary_leaves(counts)
+    assert ternary.leaf_intervals() == ref_greedy_ternary_leaves(counts)
+    assert_same_outcome(
+        lambda: histogram_estimate(binary, sc), lambda: ref_histogram_estimate(binary, sc)
+    )
+    assert_same_outcome(
+        lambda: greedy_pl_estimate(ternary, sc), lambda: ref_greedy_pl_estimate(ternary, sc)
+    )
+    # the idealized builders at the same, possibly huge, sample size
+    rng = np.random.default_rng(seed)
+    f, g = make_density(random_monotone_mass(rng, k)), make_density(random_convex_mass(rng, k))
+    t = build_idealized_binary(f, n)
+    assert t.leaf_intervals() == ref_idealized_binary_leaves(f.mass, n)
+    assert_same_estimate(idealized_pc_estimate(t, f), ref_idealized_pc_estimate(t, f))
+    t = build_idealized_ternary(g, n)
+    assert t.leaf_intervals() == ref_idealized_ternary_leaves(g.mass, n)
+    assert_same_estimate(idealized_pl_estimate(t, g), ref_idealized_pl_estimate(t, g))
+
+
+def test_greedy_trees_split_on_the_exact_rule_near_a_square_past_2_53():
+    # a difference of 2**32 against sqrt(2**64 - 2) or sqrt(2**64 - 3): the
+    # float sqrt of either sum rounds up to 2**32 and would keep one leaf
+    d, s = 2**32, 2**64 - 2
+    nv = (s + d) // 2
+    counts = [nv // 2, nv - nv // 2, (s - nv) // 2, s - nv - (s - nv) // 2]
+    sc = SampleCounts(k=4, n=s, counts=counts)
+    assert build_greedy_binary(sc).spans == ((1, 2), (3, 2))
+    assert build_greedy_binary(sc).leaf_intervals() == ref_greedy_binary_leaves(counts)
+    s = 2**64 - 3
+    mid = (s - d) // 3  # left - 2 * mid + right = s - 3 * mid = d
+    counts = [(s - mid) // 2, mid, s - mid - (s - mid) // 2]
+    sc = SampleCounts(k=3, n=s, counts=counts)
+    assert build_greedy_ternary(sc).spans == ((1, 1), (2, 1), (3, 1))
+    assert build_greedy_ternary(sc).leaf_intervals() == ref_greedy_ternary_leaves(counts)

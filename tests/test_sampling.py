@@ -183,3 +183,27 @@ def test_subsets_to_masks_accepts_masks_and_indices():
 def test_counts_csv():
     sc = SampleCounts(k=2, n=3, counts=np.array([2, 1]))
     assert sc.to_csv() == "index,count\n1,2\n2,1\n"
+
+
+def _same_counts(got: SampleCounts, want: SampleCounts) -> bool:
+    # the dataclass == compares counts arrays with ==, which has no truth value
+    return (
+        (got.k, got.n) == (want.k, want.n)
+        and got.counts.dtype == want.counts.dtype
+        and got.counts.shape == want.counts.shape
+        and got.counts.tobytes() == want.counts.tobytes()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=_weights, n=st.integers(0, 5000), seed=st.integers(0, 2**64 - 1))
+@example(w=[1.0], n=0, seed=0)
+@example(w=[1.0], n=17, seed=1)
+@example(w=[0.5, 0.0, 0.25, 0.25, 0.0], n=0, seed=2)
+@example(w=[0.1] * 10, n=1000, seed=3)
+def test_sample_makes_what_the_public_constructor_accepts(w, n, seed):
+    # sample skips SampleCounts' checks; they must all hold anyway
+    f = make_density(np.array(w) / math.fsum(w))
+    got = sample(f, n, seed)
+    assert got.counts.dtype == np.int64 and got.counts.flags.c_contiguous
+    assert _same_counts(got, SampleCounts(f.k, n, got.counts.copy()))
