@@ -133,16 +133,12 @@ def make_density(mass) -> DiscreteDensity:
     """
     if isinstance(mass, (str, bytes)):
         raise BadParam(f"mass must be a sequence of numbers, not {type(mass).__name__}")
-    if isinstance(mass, np.ndarray):
-        arr = mass
-    else:
-        try:
-            arr = np.asarray(list(mass), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise BadParam(f"mass must be a sequence of numbers: {exc}") from None
-    if arr.ndim == 0:
-        raise BadParam("mass must be a sequence of numbers, not a 0-d array")
-    return DiscreteDensity(k=int(arr.shape[0]), mass=arr)
+    try:
+        arr = mass if isinstance(mass, np.ndarray) else list(mass)
+        k = len(arr)  # a 0-d array has no len
+    except TypeError as exc:
+        raise BadParam(f"mass must be a sequence of numbers: {exc}") from None
+    return DiscreteDensity(k=k, mass=arr)
 
 
 def density_from_json(text: str) -> DiscreteDensity:

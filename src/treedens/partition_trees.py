@@ -603,10 +603,7 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
         return PiecewiseEstimate._from_columns(
             e.domain_k, e.starts, lengths, e.linear, values, zeros, zeros
         )
-    try:
-        ratios = [v.as_integer_ratio() for v in values]
-    except AttributeError:
-        ratios = [_ratio(v) for v in values]
+    ratios = [_ratio(v) for v in values]
     den = max(d for _, d in ratios)
     # block: [first piece index, last piece index, atom length, total * den]
     blocks: list[list] = []
