@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import DiscreteDensity
 from .errors import BadParam, DomainMismatch, EmptyCandidates
-from .partition_trees import PiecewiseEstimate
+from .metrics import _atoms
 from .sampling import SampleCounts
 
 __all__ = ["CandidateSet", "yatracos_class", "minimum_distance_estimate"]
@@ -31,14 +30,7 @@ _TIE_TOL = 1e-12
 
 
 def _atom_matrix(candidates) -> np.ndarray:
-    rows = []
-    for c in candidates:
-        if isinstance(c, DiscreteDensity):
-            rows.append(c.mass)
-        elif isinstance(c, PiecewiseEstimate):
-            rows.append(c.atom_values())
-        else:
-            rows.append(np.asarray(c, dtype=float))
+    rows = [_atoms(c) for c in candidates]
     k = rows[0].shape[0]
     for i, row in enumerate(rows):
         if row.shape != (k,):

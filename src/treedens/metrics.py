@@ -16,7 +16,7 @@ from math import fsum
 import numpy as np
 
 from .densities import DiscreteDensity
-from .errors import BadParams, DomainMismatch, TooLarge
+from .errors import BadParam, BadParams, DomainMismatch, TooLarge
 from .partition_trees import PiecewiseEstimate
 
 __all__ = [
@@ -37,11 +37,27 @@ _VC_M_CAP = 24
 
 
 def _atoms(obj) -> np.ndarray:
+    """The atom values of a DiscreteDensity, a PiecewiseEstimate, or a
+    plain vector of numbers, as a 1-D float array."""
     if isinstance(obj, DiscreteDensity):
         return obj.mass
     if isinstance(obj, PiecewiseEstimate):
         return obj.atom_values()
-    return np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParam(f"atom values must be numbers: {exc}") from None
+    if arr.ndim != 1:
+        raise BadParam(f"atom values must be a 1-D vector, got shape {arr.shape}")
+    return arr
+
+
+def _atom_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
+    a = _atoms(f)
+    b = _atoms(g)
+    if a.shape != b.shape:
+        raise DomainMismatch(f"domain sizes differ: {a.shape[0]} vs {b.shape[0]}")
+    return a, b
 
 
 def tv(f, g) -> float:
@@ -50,10 +66,7 @@ def tv(f, g) -> float:
     Accepts DiscreteDensity, PiecewiseEstimate, or a plain array of atom
     values; the two domains must have equal size.
     """
-    a = _atoms(f)
-    b = _atoms(g)
-    if a.shape != b.shape:
-        raise DomainMismatch(f"domain sizes differ: {a.shape[0]} vs {b.shape[0]}")
+    a, b = _atom_pair(f, g)
     return 0.5 * float(np.abs(a - b).sum())
 
 
@@ -63,10 +76,7 @@ def tv_sup_bruteforce(f, g) -> float:
     Equal to tv(f, g) when both arguments are genuine probability vectors;
     kept as an independent oracle for exactly that identity.  Refuses k > 20.
     """
-    a = _atoms(f)
-    b = _atoms(g)
-    if a.shape != b.shape:
-        raise DomainMismatch(f"domain sizes differ: {a.shape[0]} vs {b.shape[0]}")
+    a, b = _atom_pair(f, g)
     k = a.shape[0]
     if k > _BRUTE_K_CAP:
         raise TooLarge(f"2^{k} subsets is past the brute-force cap of 2^{_BRUTE_K_CAP}")
@@ -77,10 +87,7 @@ def tv_sup_bruteforce(f, g) -> float:
 
 def hellinger_affinity(f, g) -> float:
     """Sum over atoms of sqrt(f(x) g(x)), in [0, 1] for probability vectors."""
-    a = _atoms(f)
-    b = _atoms(g)
-    if a.shape != b.shape:
-        raise DomainMismatch(f"domain sizes differ: {a.shape[0]} vs {b.shape[0]}")
+    a, b = _atom_pair(f, g)
     return fsum(np.sqrt(a * b).tolist())
 
 

@@ -11,7 +11,7 @@ total the true masses and are deterministic in them.  A built tree keeps
 only its leaves, as (start, length) spans in left-to-right order.
 
 The estimates are piecewise functions over the leaf intervals, truncated
-back to {1, ..., k}.  Truncation can shave off mass that a boundary leaf
+back to {1, ..., k}; one walk over the leaves builds all four.  Truncation can shave off mass that a boundary leaf
 spread onto padded atoms, so estimates built on a padded domain may be
 sub-normalized; each builder takes a renormalize flag (default off) to
 rescale explicitly instead of hiding the adjustment.  Like a tree, an
@@ -381,9 +381,8 @@ class PiecewiseEstimate:
         return "\n".join(lines) + "\n"
 
 
-# The builders below lay an estimate's pieces out flat, one row of six
-# after another in the column order (start, length, linear, value, slope,
-# intercept), for the leaves that start inside 1..k.
+# The estimates below are laid out flat, one row of six after another in
+# the column order (start, length, linear, value, slope, intercept).
 
 
 def _constant_row(start: int, length: int, value) -> tuple:
@@ -394,10 +393,76 @@ def _linear_row(start: int, length: int, slope: float, intercept: float) -> tupl
     return (start, length, True, 0.0, slope, intercept)
 
 
-def _from_rows(k: int, flat: list) -> PiecewiseEstimate:
-    """The estimate of flat rows that tile 1..k and possibly past it, cut
-    back to 1..k: a row starting past k is dropped and the last one is
-    shortened to end at k."""
+def _clamped_row(start: int, length: int, slope: float, intercept: float) -> tuple:
+    """The rows of a fitted line, with a zero ledge where it goes negative.
+
+    The line is >= 0 between the two fitted midpoints, so the negative atoms
+    form a run at one end of the leaf.  Rounding is monotone, so the
+    computed values are monotone in x too: a line that is not negative at
+    either end is negative nowhere and stays one row, and the run's end
+    can be found by bisection."""
+    if slope * start + intercept < 0.0 or slope * (start + length - 1) + intercept < 0.0:
+        atoms = range(start, start + length)
+        if slope < 0.0:
+            keep = bisect_left(atoms, True, key=lambda x: slope * x + intercept < 0.0)
+            return _linear_row(start, keep, slope, intercept) + _constant_row(
+                start + keep, length - keep, 0.0
+            )
+        ledge = bisect_left(atoms, True, key=lambda x: slope * x + intercept >= 0.0)
+        return _constant_row(start, ledge, 0.0) + _linear_row(
+            start + ledge, length - ledge, slope, intercept
+        )
+    return _linear_row(start, length, slope, intercept)
+
+
+def _leaf_walk(t: PartitionTree, k: int, values: np.ndarray, at, scale: int, line):
+    """The estimate over t's leaves of the k per-atom values, cut back to 1..k.
+
+    values are sample counts (an integer array, scale n) or masses (a float
+    array, scale 1), and at is their running totals (_prefix).  A singleton
+    leaf gets its atom's value / scale, so an idealized one copies f bit
+    for bit where a difference of cumulative float sums would round twice.
+    With line None, a wider leaf is constant at its total / (scale * width),
+    spread over its full padded width.  Otherwise it gets the line through
+    its outer thirds' (midpoint, total / (scale * third)) points, whose
+    midpoints sit 2*third apart, and line(start, length, slope, intercept)
+    gives its rows.  A row starting past k is dropped and the last one is
+    shortened to end at k.
+
+    The checks come in the order tree domain, arity, sample size; scale
+    is n only for counts, so the last check passes for masses.
+    """
+    if pad_to_power(k, t.arity) != t.padded_k:
+        what = "counts" if values.dtype.kind in "iu" else "density"
+        raise DomainMismatch(
+            f"tree over {t.padded_k} padded atoms does not match {what} on 1..{k}"
+        )
+    if line is not None and t.arity != 3:
+        raise DomainMismatch("piecewise-linear estimates need a ternary tree")
+    if scale < 1:
+        raise BadParam("need at least one sample")
+    atom = memoryview(values)
+    flat = []
+    for start, length in t.spans:
+        if start > k:
+            break
+        if length == 1:
+            flat += _constant_row(start, 1, atom[start - 1] / scale)
+        elif line is None:
+            end = start - 1 + length
+            total = at[end if end < k else k] - at[start - 1]
+            flat += _constant_row(start, length, total / (scale * length))
+        else:
+            third = length // 3
+            e1 = start - 1 + third
+            e2 = e1 + third
+            e3 = e2 + third
+            left = at[e1 if e1 < k else k] - at[start - 1]
+            right = at[e3 if e3 < k else k] - at[e2 if e2 < k else k]
+            avg_left = left / (scale * third)
+            slope = (right / (scale * third) - avg_left) / (2.0 * third)
+            intercept = avg_left - slope * (start + (third - 1) / 2.0)
+            flat += line(start, length, slope, intercept)
     while flat[-6] > k:
         del flat[-6:]
     flat[-5] = k - flat[-6] + 1
@@ -423,74 +488,21 @@ def _scaled(est: PiecewiseEstimate, renormalize: bool) -> PiecewiseEstimate:
     )
 
 
-def _check_tree(t: PartitionTree, k: int, what: str):
-    if pad_to_power(k, t.arity) != t.padded_k:
-        raise DomainMismatch(
-            f"tree over {t.padded_k} padded atoms does not match {what} on 1..{k}"
-        )
-
-
 def histogram_estimate(
     t: PartitionTree, sc: SampleCounts, renormalize: bool = False
 ) -> PiecewiseEstimate:
     """Leaf-interval histogram: each leaf gets its count spread uniformly
     over the leaf's full padded width."""
-    _check_tree(t, sc.k, "counts")
-    k, n = sc.k, sc.n
-    if n < 1:
-        raise BadParam("need at least one sample")
-    at = _count_prefix(sc)
-    flat = []
-    for start, length in t.spans:
-        if start > k:
-            break
-        end = start - 1 + length
-        count = at[end if end < k else k] - at[start - 1]
-        flat += _constant_row(start, length, count / (n * length))
-    return _scaled(_from_rows(k, flat), renormalize)
+    est = _leaf_walk(t, sc.k, sc.counts, _count_prefix(sc), sc.n, None)
+    return _scaled(est, renormalize)
 
 
 def idealized_pc_estimate(
     t: PartitionTree, f: DiscreteDensity, renormalize: bool = False
 ) -> PiecewiseEstimate:
     """Piecewise-constant projection of f itself onto the leaf partition."""
-    _check_tree(t, f.k, "density")
-    k = f.k
-    at, mass = _prefix(f.mass), memoryview(f.mass)
-    flat = []
-    for start, length in t.spans:
-        if start > k:
-            break
-        end = start - 1 + length
-        # singleton leaves read f directly, so they reproduce it bit for
-        # bit; a difference of cumulative float sums would round twice
-        if length == 1:
-            value = mass[start - 1]
-        else:
-            value = (at[end if end < k else k] - at[start - 1]) / length
-        flat += _constant_row(start, length, value)
-    return _scaled(_from_rows(k, flat), renormalize)
-
-
-def _outer_thirds(at, k: int, start: int, third: int):
-    """The totals over a leaf's left and right thirds, from the running
-    totals at; the leaf starts inside 1..k."""
-    e1 = start - 1 + third
-    e2 = e1 + third
-    e3 = e2 + third
-    return (
-        at[e1 if e1 < k else k] - at[start - 1],
-        at[e3 if e3 < k else k] - at[e2 if e2 < k else k],
-    )
-
-
-def _fitted_line(start: int, third: int, avg_left: float, avg_right: float):
-    """Slope and intercept of the line through the left and right thirds'
-    (midpoint, average) points; the midpoints sit 2*third apart."""
-    mid_left = start + (third - 1) / 2.0
-    slope = (avg_right - avg_left) / (2.0 * third)
-    intercept = avg_left - slope * mid_left
-    return slope, intercept
+    est = _leaf_walk(t, f.k, f.mass, _prefix(f.mass), 1, None)
+    return _scaled(est, renormalize)
 
 
 def idealized_pl_estimate(
@@ -500,43 +512,8 @@ def idealized_pl_estimate(
     singleton leaves copy f exactly.  Values are not clamped, and the
     fitted lines need not preserve mass, so the estimate's total can
     differ from 1 even before truncation."""
-    _check_tree(t, f.k, "density")
-    if t.arity != 3:
-        raise DomainMismatch("piecewise-linear estimates need a ternary tree")
-    k = f.k
-    at, mass = _prefix(f.mass), memoryview(f.mass)
-    flat = []
-    for start, length in t.spans:
-        if start > k:
-            break
-        if length == 1:
-            flat += _constant_row(start, 1, mass[start - 1])
-            continue
-        third = length // 3
-        left, right = _outer_thirds(at, k, start, third)
-        slope, intercept = _fitted_line(start, third, left / third, right / third)
-        flat += _linear_row(start, length, slope, intercept)
-    return _scaled(_from_rows(k, flat), renormalize)
-
-
-def _clamped_linear(start: int, length: int, slope: float, intercept: float) -> tuple:
-    """The rows of a fitted line that is negative at an end of its leaf,
-    split into a linear part and a zero ledge where it goes negative.  The
-    line is >= 0 between the two fitted midpoints, so the negative atoms
-    form a run at one end of the leaf.  Rounding is monotone, so the
-    computed values are monotone in x too: a line that is not negative at
-    either end is negative nowhere, and the run's end can be found by
-    bisection."""
-    atoms = range(start, start + length)
-    if slope < 0.0:
-        keep = bisect_left(atoms, True, key=lambda x: slope * x + intercept < 0.0)
-        return _linear_row(start, keep, slope, intercept) + _constant_row(
-            start + keep, length - keep, 0.0
-        )
-    ledge = bisect_left(atoms, True, key=lambda x: slope * x + intercept >= 0.0)
-    return _constant_row(start, ledge, 0.0) + _linear_row(
-        start + ledge, length - ledge, slope, intercept
-    )
+    est = _leaf_walk(t, f.k, f.mass, _prefix(f.mass), 1, _linear_row)
+    return _scaled(est, renormalize)
 
 
 def greedy_pl_estimate(
@@ -546,28 +523,8 @@ def greedy_pl_estimate(
     clamped to zero: unlike the idealized averages, empirical thirds can
     slope either way.  As in idealized_pl_estimate, the fitted lines need
     not preserve mass."""
-    _check_tree(t, sc.k, "counts")
-    if t.arity != 3:
-        raise DomainMismatch("piecewise-linear estimates need a ternary tree")
-    k, n = sc.k, sc.n
-    if n < 1:
-        raise BadParam("need at least one sample")
-    at = _count_prefix(sc)
-    flat = []
-    for start, length in t.spans:
-        if start > k:
-            break
-        if length == 1:
-            flat += _constant_row(start, 1, (at[start] - at[start - 1]) / n)
-            continue
-        third = length // 3
-        left, right = _outer_thirds(at, k, start, third)
-        slope, intercept = _fitted_line(start, third, left / (n * third), right / (n * third))
-        if slope * start + intercept < 0.0 or slope * (start + length - 1) + intercept < 0.0:
-            flat += _clamped_linear(start, length, slope, intercept)
-        else:
-            flat += _linear_row(start, length, slope, intercept)
-    return _scaled(_from_rows(k, flat), renormalize)
+    est = _leaf_walk(t, sc.k, sc.counts, _count_prefix(sc), sc.n, _clamped_row)
+    return _scaled(est, renormalize)
 
 
 def _ratio(v) -> tuple[int, int]:

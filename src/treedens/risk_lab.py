@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from math import fsum
@@ -313,6 +314,15 @@ class RateScalingResult:
         return "\n".join(lines) + "\n"
 
 
+def _grid_point(v) -> int:
+    """v as an int when it is an integer or an integral float."""
+    if isinstance(v, numbers.Integral) or (
+        isinstance(v, numbers.Real) and float(v).is_integer()
+    ):
+        return int(v)
+    raise BadParam(f"grid points must be integers, got {v!r}")
+
+
 def rate_scaling(
     estimator,
     density_builder,
@@ -326,11 +336,12 @@ def rate_scaling(
     """Run mc_risk along an n grid and fit log(mean_tv) against log(n).
 
     density_builder is a family name or a callable k -> DiscreteDensity.
-    The grid must be strictly increasing with at least 3 points.  Each grid
-    point gets its own derived master seed, so growing the grid does not
-    reshuffle earlier points.
+    The grid must be at least 3 strictly increasing integers; integral
+    floats count as the ints they equal.  Each grid point gets its own
+    derived master seed, so growing the grid does not reshuffle earlier
+    points.
     """
-    n_grid = [int(v) for v in n_grid]
+    n_grid = [_grid_point(v) for v in n_grid]
     if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DegenerateGrid(
             f"need a strictly increasing grid of >= 3 points, got {n_grid}"

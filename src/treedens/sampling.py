@@ -101,6 +101,8 @@ def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     """
     if n < 0:
         raise BadParam("n must be >= 0")
+    if seed < 0:
+        raise BadParam(f"seed must be >= 0, got {seed}")
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
     return SampleCounts._trusted(density.k, n, _counts_from_uniforms(density.mass, u))
 
@@ -134,7 +136,9 @@ def subsets_to_masks(sets, k: int) -> np.ndarray:
     """Normalize a collection of atom subsets to a (num_sets, k) bool matrix.
 
     Each subset may be an iterable of 1-based atom indices or a length-k
-    boolean mask; an empty collection gives a (0, k) matrix.
+    boolean mask; an empty collection gives a (0, k) matrix.  Indices must
+    be integers, though integral floats such as 1.0 are taken as the ints
+    they equal.
     """
     rows = []
     for s in sets:
@@ -146,10 +150,15 @@ def subsets_to_masks(sets, k: int) -> np.ndarray:
             continue
         mask = np.zeros(k, dtype=bool)
         if arr.size:
-            idx = arr.astype(np.int64)
-            if np.any(idx < 1) or np.any(idx > k):
+            # NaN and inf fail the integral test, and the range is checked
+            # before the int64 cast, which would wrap a huge index
+            if arr.dtype.kind not in "iuf" or (
+                arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
+            ):
+                raise BadParam(f"atom indices must be integers in 1..{k}, got {s!r}")
+            if np.any(arr < 1) or np.any(arr > k):
                 raise OutOfRange(f"atom indices must lie in 1..{k}")
-            mask[idx - 1] = True
+            mask[arr.astype(np.int64) - 1] = True
         rows.append(mask)
     if not rows:
         return np.zeros((0, k), dtype=bool)

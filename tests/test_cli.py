@@ -251,6 +251,30 @@ def test_mde_bad_candidate_param_is_runtime_error(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--family", "uniform", "--k", "4", "--n", "10",
+         "--estimator", "greedy-binary"],
+        ["mde", "--candidates", "uniform,harmonic-zipf", "--family", "uniform",
+         "--k", "4", "--n", "10"],
+    ],
+)
+def test_negative_seed_is_one_line_error(capsys, argv):
+    # numpy's ValueError escaped as a traceback
+    code, out, err = _capture(capsys, argv + ["--seed", "-1"])
+    assert (code, out) == (1, "")
+    assert err == f"treedens {argv[0]}: seed must be >= 0, got -1\n"
+
+
+def test_simulate_accepts_a_negative_master_seed(capsys):
+    # replication seeds are derived, and derive_seed masks to 64 bits
+    argv = ["simulate", "--family", "uniform", "--k", "4", "--n", "10",
+            "--estimator", "greedy-binary", "--reps", "2", "--seed", "-1"]
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0 and out.splitlines()[1].endswith(",2,-1")
+
+
 def test_unwritable_out_is_runtime_error(capsys, tmp_path):
     target = tmp_path / "missing-dir" / "x.csv"
     code, out, err = _capture(

@@ -138,6 +138,22 @@ def test_builders_match_piece_references(data, arity, renormalize):
         )
 
 
+@pytest.mark.parametrize("wrong_domain", [False, True])
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("n", [0, 7])
+def test_builders_check_the_tree_domain_then_the_arity_then_n(wrong_domain, arity, n):
+    # every combination of a tree over the wrong padded domain, a binary
+    # tree handed to a linear builder and an empty sample
+    k = 10
+    padded = pad_to_power(k, arity) // (arity if wrong_domain else 1)
+    t = PartitionTree(arity, padded, ((1, padded),))
+    sc = SampleCounts(k=k, n=n, counts=np.array([n] + [0] * (k - 1)))
+    f = family("uniform", k)
+    for build, ref, reads_counts in BUILDERS:
+        arg = sc if reads_counts else f
+        assert_same_outcome(lambda: build(t, arg), lambda: ref(t, arg))
+
+
 def test_greedy_pl_ledges_singletons_and_padding_match_reference():
     # k = 25 on 1..27: leaves (1,9) (10,9) (19,3) (22,3) (25,1) (26,1) (27,1).
     # Leaf 1 rises from an empty left third, leaf 10 falls to an empty

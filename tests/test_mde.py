@@ -33,6 +33,13 @@ def test_candidate_set_validation():
         CandidateSet([family("uniform", 4), family("uniform", 5)])
     with pytest.raises(BadParam):
         CandidateSet([family("uniform", 4)], labels=["a", "b"])
+    # scalars and matrices are not atom vectors; scalars once raised a bare
+    # IndexError
+    for bad in ([1.0, 2.0], [np.ones((2, 4)), family("uniform", 4)]):
+        with pytest.raises(BadParam, match="1-D vector"):
+            CandidateSet(bad)
+    with pytest.raises(DomainMismatch, match="candidate 1 lives on 5 atoms, candidate 0 on 4"):
+        CandidateSet([family("uniform", 4), family("uniform", 5)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

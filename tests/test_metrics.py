@@ -5,6 +5,7 @@ import pytest
 
 from oracles import ref_vc_interval_unions, tv_by_events
 from treedens import (
+    BadParam,
     BadParams,
     DomainMismatch,
     RateBranch,
@@ -36,6 +37,16 @@ def test_tv_accepts_mixed_argument_types():
 def test_tv_domain_mismatch():
     with pytest.raises(DomainMismatch):
         tv([0.5, 0.5], [1.0])
+
+
+@pytest.mark.parametrize("distance", [tv, tv_sup_bruteforce, hellinger_affinity])
+def test_distances_take_only_atom_vectors(distance):
+    # a (2, 2) pair once scored 0.0 in tv
+    for bad in (np.ones((2, 2)), 0.5, ["a", "b"], [[0.5], [0.5, 0.0]]):
+        with pytest.raises(BadParam, match="atom values must be"):
+            distance(bad, bad)
+    with pytest.raises(DomainMismatch, match="domain sizes differ: 2 vs 1"):
+        distance([0.5, 0.5], [1.0])
 
 
 def test_bruteforce_matches_event_oracle():

@@ -161,6 +161,16 @@ def test_rate_scaling_grid_validation():
         rate_scaling("oracle", "uniform", [100, 100, 200], 4, 3, 0)
 
 
+def test_rate_scaling_rejects_non_integral_grid_points():
+    # int() truncated them: this grid ran at n = 10, 20, 40
+    for bad in (10.5, float("nan"), float("inf"), "10"):
+        with pytest.raises(BadParam, match="grid points must be integers"):
+            rate_scaling("oracle", "uniform", [bad, 20.2, 40.9], 8, 2, 0)
+    got = rate_scaling("oracle", "uniform", [10.0, np.float64(20), np.int32(40)], 8, 2, 0)
+    assert [r.n for r in got.reports] == [10, 20, 40]
+    assert got.reports == rate_scaling("oracle", "uniform", [10, 20, 40], 8, 2, 0).reports
+
+
 def test_rate_scaling_empirical_slope_near_half():
     res = rate_scaling(
         "empirical-histogram", "uniform", [100, 1000, 10000], 2, 100, 12

@@ -34,6 +34,12 @@ def test_negative_draws_rejected():
         sample(family("uniform", 4), -1, 0)
 
 
+def test_negative_seed_rejected():
+    # numpy's PCG64 raised a bare ValueError
+    with pytest.raises(BadParam, match="seed must be >= 0"):
+        sample(family("uniform", 4), 10, -1)
+
+
 def test_point_mass_all_in_one_atom():
     f = make_density([1.0, 0.0, 0.0])
     sc = sample(f, 100, 5)
@@ -178,6 +184,31 @@ def test_subsets_to_masks_accepts_masks_and_indices():
         subsets_to_masks([{0}], 3)
     with pytest.raises(OutOfRange):
         subsets_to_masks([{4}], 3)
+
+
+@pytest.mark.parametrize(
+    "subset", [[1.5], [2.9], [float("nan")], [float("inf")], ["a"], [2**70], [1, 2.5]]
+)
+def test_subsets_to_masks_reject_non_integral_indices(subset):
+    # these were truncated to an atom, warned on the int64 cast, or raised
+    # a bare ValueError
+    with pytest.raises(BadParam, match="atom indices must be integers"):
+        subsets_to_masks([subset], 3)
+
+
+def test_sup_deviation_rejects_non_integral_indices():
+    f = family("uniform", 3)
+    sc = SampleCounts(k=3, n=10, counts=np.array([7, 3, 0]))
+    with pytest.raises(BadParam):
+        empirical_sup_deviation(sc, f, [[2.9]])
+
+
+def test_subsets_to_masks_accept_integral_floats_and_numpy_ints():
+    want = subsets_to_masks([{1, 3}], 3)
+    for subset in ({1.0, 3.0}, [np.int32(1), np.uint8(3)], np.array([1.0, 3.0])):
+        assert np.array_equal(subsets_to_masks([subset], 3), want)
+    with pytest.raises(OutOfRange):
+        subsets_to_masks([{4.0}], 3)
 
 
 def test_counts_csv():
