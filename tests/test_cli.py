@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -347,3 +348,17 @@ def test_repeated_runs_in_one_process_match_fresh_processes(capsys, monkeypatch)
     assert seen[1] == (0, "ell,m,vc\n2,8,4\n", "")
     assert seen[2] == seen[0]
     assert seen == [_fresh(argv) for argv in (bad, good, bad)]
+
+
+# sha256 of stdout for every subcommand in both formats: the five
+# tree-bearing estimators, simulate over one n and over a grid (including a
+# NaN slope), every rates branch of both classes, all four assouad regimes,
+# vc and mde.  Recorded when each subcommand wrote its own JSON encoder.
+CLI_SHA256 = json.loads((DATA / "cli_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_SHA256, ids=lambda c: " ".join(c["argv"]))
+def test_stdout_bytes_unchanged(capsys, case):
+    assert run(case["argv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
