@@ -6,8 +6,10 @@ to stdout (or --out); diagnostics go to stderr.  Exit codes: 0 success,
 output.
 
 Output formats: --format csv (default) emits the documented fixed columns;
---format json emits the full structured record.  For assouad the CSV view
-is the density atoms alone and the scalar parameters live in the JSON view.
+--format json emits the full structured record.  For rates, vc and mde the
+CSV view is the record's keys as the header and its values as one row.  For
+assouad the CSV view is the density atoms alone and the scalar parameters
+live in the JSON view.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .densities import FAMILY_NAMES, family
 from .errors import BadParam, TreedensError
@@ -27,7 +30,7 @@ from .hypercubes import (
 )
 from .mde import CandidateSet, minimum_distance_estimate
 from .metrics import assouad_lower_bound, rate_convex, rate_monotone, vc_unions_intervals_brute
-from .risk_lab import ESTIMATORS, fit_estimate, mc_risk, rate_scaling
+from .risk_lab import ESTIMATORS, RiskReport, fit_estimate, mc_risk, rate_scaling
 from .sampling import sample
 
 __all__ = ["main", "run"]
@@ -119,7 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, result) -> None:
+    """Write a command's result, its CSV text or its record as a dict, to
+    --out or stdout.  This is the one place a record is encoded."""
+    if isinstance(result, dict):
+        if args.format == "json":
+            text = json.dumps(result, indent=2) + "\n"
+        else:
+            text = f"{','.join(result)}\n{','.join(map(str, result.values()))}\n"
+    else:
+        text = result
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -127,13 +139,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_estimate(args) -> str:
+def _cmd_estimate(args) -> str | dict:
     f = family(args.family, args.k, args.param)
     sc = sample(f, args.n, args.seed)
     tree, est = fit_estimate(args.estimator, f, sc)
     if args.format == "csv":
         return est.to_csv()
-    record = {
+    return {
         "family": args.family,
         "k": args.k,
         "n": args.n,
@@ -143,12 +155,9 @@ def _cmd_estimate(args) -> str:
         "estimate": json.loads(est.to_json()),
         "mass": est.total_mass(),
     }
-    return json.dumps(record, indent=2) + "\n"
 
 
-def _cmd_simulate(args) -> str:
-    from .risk_lab import RiskReport
-
+def _cmd_simulate(args) -> str | dict:
     if args.n_grid is not None:
         result = rate_scaling(
             args.estimator,
@@ -160,56 +169,35 @@ def _cmd_simulate(args) -> str:
             threads=args.threads,
         )
         reports = result.reports
-        if args.format == "json":
-            return (
-                json.dumps(
-                    {
-                        "reports": [json.loads(r.to_json()) for r in reports],
-                        "slope": result.slope,
-                        "slope_valid": result.slope_valid,
-                    },
-                    indent=2,
-                )
-                + "\n"
-            )
     else:
         f = family(args.family, args.k)
-        reports = [
-            mc_risk(
-                args.estimator,
-                f,
-                args.n,
-                args.reps,
-                args.seed,
-                density_name=args.family,
-                threads=args.threads,
-            )
-        ]
-        if args.format == "json":
-            return reports[0].to_json() + "\n"
+        result = mc_risk(
+            args.estimator,
+            f,
+            args.n,
+            args.reps,
+            args.seed,
+            density_name=args.family,
+            threads=args.threads,
+        )
+        reports = [result]
+    if args.format == "json":
+        return asdict(result)
     lines = [RiskReport.CSV_HEADER]
     lines.extend(r.to_csv_row() for r in reports)
     return "\n".join(lines) + "\n"
 
 
-def _cmd_rates(args) -> str:
+def _cmd_rates(args) -> dict:
     fn = rate_monotone if args.shape_class == "monotone" else rate_convex
     reg = fn(args.n, args.k)
-    if args.format == "json":
-        return (
-            json.dumps(
-                {
-                    "class": reg.shape_class,
-                    "n": reg.n,
-                    "k": reg.k,
-                    "branch": reg.branch.value,
-                    "value": reg.value,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    return f"class,n,k,branch,value\n{reg.shape_class},{reg.n},{reg.k},{reg.branch.value},{reg.value!r}\n"
+    return {
+        "class": reg.shape_class,
+        "n": reg.n,
+        "k": reg.k,
+        "branch": reg.branch.value,
+        "value": reg.value,
+    }
 
 
 def _parse_theta(text: str, r: int) -> tuple:
@@ -222,7 +210,7 @@ def _parse_theta(text: str, r: int) -> tuple:
     return tuple(int(c) for c in text)
 
 
-def _cmd_assouad(args) -> str:
+def _cmd_assouad(args) -> str | dict:
     regime = Regime(args.regime)
     if (args.r is None) != (args.epsilon is None):
         raise TreedensError("--r and --epsilon must be given together or not at all")
@@ -237,31 +225,22 @@ def _cmd_assouad(args) -> str:
     bound = assouad_lower_bound(r, alpha, beta, args.n)
     if args.format == "csv":
         return f.to_csv()
-    return (
-        json.dumps(
-            {
-                "regime": regime.value,
-                "n": args.n,
-                "k": args.k,
-                "r": r,
-                "epsilon": eps,
-                "theta": "".join(str(b) for b in theta),
-                "alpha": alpha,
-                "beta": beta,
-                "lower_bound": bound,
-                "density": json.loads(f.to_json()),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    return {
+        "regime": regime.value,
+        "n": args.n,
+        "k": args.k,
+        "r": r,
+        "epsilon": eps,
+        "theta": "".join(str(b) for b in theta),
+        "alpha": alpha,
+        "beta": beta,
+        "lower_bound": bound,
+        "density": json.loads(f.to_json()),
+    }
 
 
-def _cmd_vc(args) -> str:
-    v = vc_unions_intervals_brute(args.ell, args.m)
-    if args.format == "json":
-        return json.dumps({"ell": args.ell, "m": args.m, "vc": v}, indent=2) + "\n"
-    return f"ell,m,vc\n{args.ell},{args.m},{v}\n"
+def _cmd_vc(args) -> dict:
+    return {"ell": args.ell, "m": args.m, "vc": vc_unions_intervals_brute(args.ell, args.m)}
 
 
 def _parse_candidates(text: str, k: int) -> CandidateSet:
@@ -280,31 +259,19 @@ def _parse_candidates(text: str, k: int) -> CandidateSet:
     return CandidateSet(members, labels)
 
 
-def _cmd_mde(args) -> str:
+def _cmd_mde(args) -> dict:
     cs = _parse_candidates(args.candidates, args.k)
     truth = family(args.family, args.k)
     sc = sample(truth, args.n, args.seed)
     idx = minimum_distance_estimate(cs, sc)
-    label = cs.labels[idx]
-    if args.format == "json":
-        return (
-            json.dumps(
-                {
-                    "selected_index": idx,
-                    "selected_label": label,
-                    "truth": args.family,
-                    "n": args.n,
-                    "k": args.k,
-                    "seed": args.seed,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    return (
-        "selected_index,selected_label,truth,n,k,seed\n"
-        f"{idx},{label},{args.family},{args.n},{args.k},{args.seed}\n"
-    )
+    return {
+        "selected_index": idx,
+        "selected_label": cs.labels[idx],
+        "truth": args.family,
+        "n": args.n,
+        "k": args.k,
+        "seed": args.seed,
+    }
 
 
 _COMMANDS = {

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,6 +54,27 @@ class Regime(str, Enum):
         return self in (Regime.CONVEX_LARGE_K, Regime.CONVEX_SMALL_K)
 
 
+def _growing_bins(r: int, k: int | None, width: int, target, ratio: Fraction) -> tuple[int, ...]:
+    """r bin lengths from width up.  Bin i is the larger of two multiples of
+    width: the float target(i, previous length) rounded up, and the least
+    one at least ratio times the previous length, found exactly.  With k
+    given, building stops with InfeasibleSpec once the total passes k."""
+    lengths = [width]
+    total = width
+    for i in range(1, r):
+        if k is not None and total > k:
+            raise InfeasibleSpec(f"bins need more than {k} atoms but the support has only {k}")
+        try:
+            nxt = width * math.ceil(target(i, lengths[-1]) / width)
+        except OverflowError:
+            raise InfeasibleSpec("bin lengths overflow float arithmetic") from None
+        # past 2**53 the float target can fall short by many widths
+        nxt = max(nxt, width * math.ceil(lengths[-1] * ratio / width))
+        lengths.append(nxt)
+        total += nxt
+    return tuple(lengths)
+
+
 def _even_bins(r: int, eps: float, k: int | None = None) -> tuple[int, ...]:
     """Bin lengths for the monotone large-k regime.
 
@@ -60,51 +82,35 @@ def _even_bins(r: int, eps: float, k: int | None = None) -> tuple[int, ...]:
     top of that, the cross-bin monotonicity constraint
     (1-eps) |A_{i+1}| >= (1+eps) |A_i| is enforced in exact rational
     arithmetic; the geometric prescription alone does not survive rounding
-    to even integers when eps is small.  With k given, building stops with
-    InfeasibleSpec as soon as the running total passes k.
+    to even integers when eps is small.
     """
+
+    def target(i, last):
+        return max(2.0 * math.exp(4.0 * eps * i), last * (1 + eps) / (1 - eps))
+
     e = Fraction(eps)
-    lengths = [2]
-    total = 2
-    for i in range(1, r):
-        _check_room(total, k)
-        try:
-            target = max(2.0 * math.exp(4.0 * eps * i), lengths[-1] * (1 + eps) / (1 - eps))
-            nxt = 2 * math.ceil(target / 2.0)
-        except OverflowError:
-            raise InfeasibleSpec("bin lengths overflow float arithmetic") from None
-        while Fraction(nxt) * (1 - e) < Fraction(lengths[-1]) * (1 + e):
-            nxt += 2
-        lengths.append(nxt)
-        total += nxt
-    return tuple(lengths)
+    return _growing_bins(r, k, 2, target, (1 + e) / (1 - e))
 
 
 def _triple_bins(r: int, eps: float, k: int | None = None) -> tuple[int, ...]:
     """Bin lengths for the convex large-k regime: multiples of 3 growing
     like 3/(1-eps)^{i-1}, and at least by the factor (1+eps) the cross-bin
-    slope ordering asks for.  With k given, building stops with
-    InfeasibleSpec as soon as the running total passes k."""
-    e = Fraction(eps)
-    lengths = [3]
-    total = 3
-    for i in range(1, r):
-        _check_room(total, k)
-        try:
-            target = max(3.0 / (1.0 - eps) ** i, lengths[-1] * (1.0 + eps))
-            nxt = 3 * math.ceil(target / 3.0)
-        except OverflowError:
-            raise InfeasibleSpec("bin lengths overflow float arithmetic") from None
-        while Fraction(nxt) < Fraction(lengths[-1]) * (1 + e):
-            nxt += 3
-        lengths.append(nxt)
-        total += nxt
-    return tuple(lengths)
+    slope ordering asks for."""
+
+    def target(i, last):
+        return max(3.0 / (1.0 - eps) ** i, last * (1.0 + eps))
+
+    return _growing_bins(r, k, 3, target, 1 + Fraction(eps))
 
 
-def _check_room(total: int, k: int | None) -> None:
-    if k is not None and total > k:
-        raise InfeasibleSpec(f"bins need more than {k} atoms but the support has only {k}")
+# regime -> (epsilon test, the range it accepts, shortest bin width, growing
+# large-k layout (r, eps, k) -> lengths, or None for r bins of that width)
+_REGIMES = {
+    Regime.MONOTONE_LARGE_K: (lambda e: 0 < e < 1 / math.sqrt(2), "(0, 1/sqrt(2))", 2, _even_bins),
+    Regime.MONOTONE_SMALL_K: (lambda e: 0 < e < 1, "(0, 1)", 2, None),
+    Regime.CONVEX_LARGE_K: (lambda e: 0 < e <= 0.5, "(0, 1/2]", 3, _triple_bins),
+    Regime.CONVEX_SMALL_K: (lambda e: 0 < e <= 0.5, "(0, 1/2]", 3, None),
+}
 
 
 @dataclass(frozen=True)
@@ -139,28 +145,14 @@ class HypercubeSpec:
             raise BadParam(f"theta must be a vector of {self.r} bits")
         object.__setattr__(self, "theta", bits)
         eps = float(self.epsilon)
-        if self.regime == Regime.MONOTONE_LARGE_K:
-            if not 0.0 < eps < 1.0 / math.sqrt(2.0):
-                raise InfeasibleSpec("epsilon must lie in (0, 1/sqrt(2))")
-            self._fits(2 * self.r, at_least=True)
-            lengths = _even_bins(self.r, eps, self.k)
-        elif self.regime == Regime.MONOTONE_SMALL_K:
-            if not 0.0 < eps < 1.0:
-                raise InfeasibleSpec("epsilon must lie in (0, 1)")
-            self._fits(2 * self.r)
-            lengths = (2,) * self.r
-        elif self.regime == Regime.CONVEX_LARGE_K:
-            if not 0.0 < eps <= 0.5:
-                raise InfeasibleSpec("epsilon must lie in (0, 1/2]")
-            self._fits(3 * self.r, at_least=True)
-            lengths = _triple_bins(self.r, eps, self.k)
-        elif self.regime == Regime.CONVEX_SMALL_K:
-            if not 0.0 < eps <= 0.5:
-                raise InfeasibleSpec("epsilon must lie in (0, 1/2]")
-            self._fits(3 * self.r)
-            lengths = (3,) * self.r
-        else:
-            raise BadParam(f"unknown regime {self.regime!r}")
+        try:
+            in_range, accepted, width, layout = _REGIMES[Regime(self.regime)]
+        except ValueError:
+            raise BadParam(f"unknown regime {self.regime!r}") from None
+        if not in_range(eps):
+            raise InfeasibleSpec(f"epsilon must lie in {accepted}")
+        self._fits(width * self.r, at_least=layout is not None)
+        lengths = (width,) * self.r if layout is None else layout(self.r, eps, self.k)
         self._fits(sum(lengths))
         object.__setattr__(self, "bin_lengths", lengths)
 
@@ -174,11 +166,8 @@ class HypercubeSpec:
 
 def hypercube_bins(spec: HypercubeSpec) -> list[tuple[int, int]]:
     """The perturbation bins as (start, length) pairs with 1-based starts."""
-    out, pos = [], 1
-    for length in spec.bin_lengths:
-        out.append((pos, length))
-        pos += length
-    return out
+    starts = accumulate(spec.bin_lengths, initial=1)
+    return list(zip(starts, spec.bin_lengths))
 
 
 def assouad_default_params(regime: Regime, n: int, k: int) -> tuple[int, float]:
@@ -229,16 +218,13 @@ def assouad_default_params(regime: Regime, n: int, k: int) -> tuple[int, float]:
 def _monotone_large(spec: HypercubeSpec) -> np.ndarray:
     r, eps = spec.r, spec.epsilon
     mass = np.zeros(spec.k)
-    pos = 0
-    for i, length in enumerate(spec.bin_lengths):
-        denom = r * length
-        if spec.theta[i] == 0:
-            half = length // 2
-            mass[pos : pos + half] = (1.0 + eps) / denom
-            mass[pos + half : pos + length] = (1.0 - eps) / denom
+    for (start, length), bit in zip(hypercube_bins(spec), spec.theta):
+        cell = mass[start - 1 : start - 1 + length]  # a view: writes land in mass
+        if bit == 0:
+            cell[: length // 2] = (1.0 + eps) / (r * length)
+            cell[length // 2 :] = (1.0 - eps) / (r * length)
         else:
-            mass[pos : pos + length] = 1.0 / denom
-        pos += length
+            cell[:] = 1.0 / (r * length)
     return mass
 
 
@@ -247,17 +233,13 @@ def _monotone_small(spec: HypercubeSpec) -> np.ndarray:
     top = (1.0 + eps) / (2.0 * r)  # largest atom value in the family
     step = eps / (2.0 * r * r)
     # every atom value is top - step*j for an integer rung j, so atoms that
-    # should coincide across theta get bit-identical floats
+    # should coincide across theta get bit-identical floats: bin i (from 1)
+    # takes rungs 2i-2 and 2i with bit 0, rung 2i-1 twice with bit 1
+    mid = 2 * np.arange(1, r + 1) - 1
+    spread = 1 - np.array(spec.theta)
     mass = np.zeros(spec.k)
-    pos = 0
-    for i in range(1, r + 1):
-        if spec.theta[i - 1] == 0:
-            j1, j2 = 2 * (i - 1), 2 * i
-        else:
-            j1 = j2 = 2 * i - 1
-        mass[pos] = top - step * j1
-        mass[pos + 1] = top - step * j2
-        pos += 2
+    mass[0 : 2 * r : 2] = top - step * (mid - spread)
+    mass[1 : 2 * r : 2] = top - step * (mid + spread)
     return mass
 
 
@@ -274,7 +256,21 @@ def _grid_at_scale(
     bits: tuple[int, ...],
     q: int,
 ):
-    """The map scale -> _convex_grid(regime, bin_lengths, k, eps, bits, scale, q).
+    """The map scale -> integer atom values (units of 2**-q) for one corner
+    of the hypercube.
+
+    The bins' anchor chain beta_i and dip sizes Delta_i are real-valued at
+    the overall scale the map is called with; _convex_scale tunes it so the
+    mass is 1.  Within bin i the value walks down by a constant integer decrement
+    per step: bit 0 uses [g+2h] x m then [g-h] x 2m, bit 1 the mirror
+    [g+h] x 2m then [g-2h] x m, where 3m is the bin length, g the per-step
+    chord drop and h the quantized dip.  Both variants consume exactly 3mg
+    and carry identical integer mass, so bin anchors and the total are
+    theta-independent.  The g-chain is built right-to-left with the caps
+    that keep the global decrement sequence non-increasing, which is
+    exactly discrete convexity.  After the last bin the value keeps ramping
+    down by the final decrement until it crosses zero.  Returns an int64
+    array of max(k, sum(bin_lengths)) atoms.
 
     Everything that does not depend on the scale (bin sizes, run counts,
     the anchor chain's steps, and the dips in the small-k regime) is
@@ -334,33 +330,6 @@ def _grid_at_scale(
         return vals
 
     return at
-
-
-def _convex_grid(
-    regime: Regime,
-    bin_lengths: tuple[int, ...],
-    k: int,
-    eps: float,
-    bits: tuple[int, ...],
-    scale: float,
-    q: int,
-) -> np.ndarray:
-    """Integer atom values (units of 2**-q) for one corner of the hypercube.
-
-    The bins' anchor chain beta_i and dip sizes Delta_i are real-valued at
-    the given overall scale; the scale is tuned afterwards so the mass is
-    1.  Within bin i the value walks down by a constant integer decrement
-    per step: bit 0 uses [g+2h] x m then [g-h] x 2m, bit 1 the mirror
-    [g+h] x 2m then [g-2h] x m, where 3m is the bin length, g the per-step
-    chord drop and h the quantized dip.  Both variants consume exactly 3mg
-    and carry identical integer mass, so bin anchors and the total are
-    theta-independent.  The g-chain is built right-to-left with the caps
-    that keep the global decrement sequence non-increasing, which is
-    exactly discrete convexity.  After the last bin the value keeps ramping
-    down by the final decrement until it crosses zero.  Returns an int64
-    array of max(k, sum(bin_lengths)) atoms.
-    """
-    return _grid_at_scale(regime, bin_lengths, k, eps, bits, q)(scale)
 
 
 @lru_cache(maxsize=64)
@@ -425,10 +394,8 @@ def assouad_density(spec: HypercubeSpec) -> DiscreteDensity:
         mass = _monotone_small(spec)
     else:
         scale, q = _convex_scale(spec.regime, spec.bin_lengths, spec.k, spec.epsilon)
-        ints = _convex_grid(
-            spec.regime, spec.bin_lengths, spec.k, spec.epsilon, spec.theta, scale, q
-        )
-        mass = ints.astype(float) * 2.0**-q
+        grid_at = _grid_at_scale(spec.regime, spec.bin_lengths, spec.k, spec.epsilon, spec.theta, q)
+        mass = grid_at(scale).astype(float) * 2.0**-q
     out = DiscreteDensity(k=spec.k, mass=mass)
     ok = is_convex_non_increasing(out) if spec.regime.is_convex() else is_non_increasing(out)
     if not ok:

@@ -160,12 +160,6 @@ def rate_convex(n: int, k: int) -> RateRegime:
     return _rate("convex", n, k, 5, 3.0, 2.0 / 5.0)
 
 
-def _max_runs_pattern(d: int) -> int:
-    # Selecting every other point yields ceil(d/2) runs, the most d points
-    # can form; any set needing more runs than available gaps is unrealizable.
-    return (d + 1) // 2
-
-
 def _realizable(selected: np.ndarray, ell: int) -> bool:
     # selected is a sorted index array into the ground set; a union of at
     # most ell intervals picks out exactly the sets forming <= ell runs of

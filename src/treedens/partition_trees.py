@@ -11,14 +11,15 @@ total the true masses and are deterministic in them.  A built tree keeps
 only its leaves, as (start, length) spans in left-to-right order.
 
 The estimates are piecewise functions over the leaf intervals, truncated
-back to {1, ..., k}; one walk over the leaves builds all four.  Truncation can shave off mass that a boundary leaf
-spread onto padded atoms, so estimates built on a padded domain may be
-sub-normalized; each builder takes a renormalize flag (default off) to
-rescale explicitly instead of hiding the adjustment.  Like a tree, an
-estimate is flat data: one tuple per piece field (starts, lengths, linear
-flags, values, slopes, intercepts), each value kept exactly as given.  The
-builders and monotonize read and write those columns; Piece records are
-made only when an estimate's .pieces is read.
+back to {1, ..., k}; one walk over the leaves builds all four.  Truncation
+can shave off mass that a boundary leaf spread onto padded atoms, so
+estimates built on a padded domain may be sub-normalized; each builder
+takes a renormalize flag (default off) to rescale explicitly instead of
+hiding the adjustment.  Like a tree, an estimate is flat data: one tuple
+per piece field (starts, lengths, linear flags, values, slopes,
+intercepts), each value kept exactly as given.  The builders and
+monotonize read and write those columns; Piece records are made only when
+an estimate's .pieces is read.
 
 monotonize pools adjacent violators in exact arithmetic: the piece values
 become integers on one common binary scale, so merged averages are
@@ -529,9 +530,13 @@ def greedy_pl_estimate(
 
 def _ratio(v) -> tuple[int, int]:
     """v as an exact (numerator, denominator) pair.  Integers without
-    as_integer_ratio, such as numpy's, are the ints they equal."""
+    as_integer_ratio, such as numpy's, are the ints they equal; infinities
+    and NaN have no ratio and are rejected."""
     if hasattr(v, "as_integer_ratio"):
-        return v.as_integer_ratio()
+        try:
+            return v.as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise BadParam(f"piece value {v!r} is not finite") from None
     if isinstance(v, numbers.Integral):
         return int(v), 1
     raise BadParam(f"piece value {v!r} has no exact ratio")

@@ -351,6 +351,42 @@ def ref_yatracos_class(vals) -> list[frozenset]:
     return out
 
 
+# --- growing hypercube bins, one width at a time -----------------------------
+
+
+def ref_growing_bins(r: int, width: int, target, ratio) -> list[int]:
+    """Bin lengths from width up: the float target(i, previous length)
+    rounded up to a multiple of width, then grown one width at a time until
+    it is at least ratio times the previous length, compared in Fractions."""
+    lengths = [width]
+    for i in range(1, r):
+        nxt = width * math.ceil(target(i, lengths[-1]) / width)
+        while Fraction(nxt) < Fraction(lengths[-1]) * ratio:
+            nxt += width
+        lengths.append(nxt)
+    return lengths
+
+
+# --- monotone-small-k hypercube corner, atom by atom -------------------------
+
+
+def ref_monotone_small(k: int, r: int, eps: float, theta) -> list[float]:
+    """Atom masses of one monotone-small-k corner: bin i (from 1) holds atoms
+    2i-1 and 2i at top - step*j, with rungs j = 2i-2, 2i for bit 0 and
+    j = 2i-1 twice for bit 1; atoms after the last bin are zero."""
+    top = (1.0 + eps) / (2.0 * r)
+    step = eps / (2.0 * r * r)
+    mass = [0.0] * k
+    for i in range(1, r + 1):
+        if theta[i - 1] == 0:
+            j1, j2 = 2 * (i - 1), 2 * i
+        else:
+            j1 = j2 = 2 * i - 1
+        mass[2 * i - 2] = top - step * j1
+        mass[2 * i - 1] = top - step * j2
+    return mass
+
+
 # --- convex hypercube grid, one atom at a time -------------------------------
 
 

@@ -99,6 +99,9 @@ def test_tracer_sees_the_fit_once_path_and_a_cli_estimate(capsys):
         assert ("sampling.sample", op) not in calls, est
     for layer in ("risk_lab.fit_estimate", "partition_trees.build", "partition_trees.estimate"):
         assert calls.get((layer, cli_op)) == 1, layer
+    # the JSON record embeds PartitionTree.to_json and PiecewiseEstimate.to_json,
+    # one serialize span each; benchmarks/selftest.py needs the layer on cli-oneshot
+    assert calls.get(("partition_trees.serialize", cli_op)) == 2
 
 
 def test_tracer_sees_an_mde_and_an_assouad_request(capsys):

@@ -1,11 +1,15 @@
+import json
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_convex_grid, ref_convex_scale
+from oracles import ref_convex_grid, ref_convex_scale, ref_growing_bins, ref_monotone_small
 from treedens import (
     BadParam,
     HypercubeSpec,
@@ -19,7 +23,13 @@ from treedens import (
     is_convex_non_increasing,
     is_non_increasing,
 )
-from treedens.hypercubes import _convex_grid, _convex_scale, _even_bins, _triple_bins
+from treedens.hypercubes import (
+    _convex_scale,
+    _even_bins,
+    _grid_at_scale,
+    _monotone_small,
+    _triple_bins,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -153,8 +163,9 @@ def test_too_many_bins_rejected_before_any_bin_is_built(monkeypatch, regime, wid
     def unreachable(*args):
         raise AssertionError("bins built for an r that cannot fit")
 
-    monkeypatch.setattr(hc, "_even_bins", unreachable)
-    monkeypatch.setattr(hc, "_triple_bins", unreachable)
+    # the regime table holds _even_bins and _triple_bins themselves, so the
+    # patch goes on the builder they both look up at call time
+    monkeypatch.setattr(hc, "_growing_bins", unreachable)
     r = 10**6
     message = f"^bins need at least {width * r} atoms but the support has only 10$"
     with pytest.raises(InfeasibleSpec, match=message):
@@ -187,11 +198,64 @@ def test_full_sum_message_where_the_sum_is_computed(regime, build):
     assert HypercubeSpec(regime, 100, need, 5, 0.2, (0,) * 5).bin_lengths == lengths
 
 
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 40), eps=st.one_of(st.floats(1e-12, 0.7), st.sampled_from([0.5, 0.1])))
+def test_bin_lengths_equal_the_stepping_reference(r, eps):
+    def even_target(i, last):
+        return max(2.0 * math.exp(4.0 * eps * i), last * (1 + eps) / (1 - eps))
+
+    e = Fraction(eps)
+    assert _even_bins(r, eps) == tuple(ref_growing_bins(r, 2, even_target, (1 + e) / (1 - e)))
+    e3 = min(eps, 0.5)
+
+    def triple_target(i, last):
+        return max(3.0 / (1.0 - e3) ** i, last * (1.0 + e3))
+
+    assert _triple_bins(r, e3) == tuple(ref_growing_bins(r, 3, triple_target, 1 + Fraction(e3)))
+
+
+def test_bins_past_float_precision_take_one_step_each():
+    # these lengths pass 2**53, where the float target falls short of the
+    # exact ratio by up to 3 * 10**7 widths; stepping one width at a time
+    # would take minutes, so the spec is built in a child with a deadline
+    r, eps = 1837, 0.028
+    code = (
+        "import json; from treedens import HypercubeSpec, Regime; "
+        f"print(json.dumps(HypercubeSpec(Regime.CONVEX_LARGE_K, 100, 10**30, {r}, {eps}, "
+        f"(0,) * {r}).bin_lengths))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    lengths = json.loads(proc.stdout)
+    assert len(lengths) == r and lengths[0] == 3 and lengths[-1] > 2**70
+    ratio = 1 + Fraction(eps)
+    for i in range(1, r):
+        prev, nxt = lengths[i - 1], lengths[i]
+        floor = 3 * math.ceil(max(3.0 / (1.0 - eps) ** i, prev * (1.0 + eps)) / 3.0)
+        # a multiple of 3, at least ratio * prev, and the least such above the float target
+        assert nxt % 3 == 0 and nxt >= prev * ratio
+        assert nxt >= floor and (nxt == floor or nxt - 3 < prev * ratio)
+
+
 def test_alpha_beta_formulas():
     spec = _spec(Regime.MONOTONE_LARGE_K, 10**6, math.ceil(math.e**8 * 100))
     alpha, beta = assouad_alpha_beta(spec)
     assert alpha == pytest.approx(spec.epsilon / spec.r, rel=1e-15)
     assert beta == pytest.approx(1 - spec.epsilon**2 / (2 * spec.r), rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, 200),
+    eps=st.one_of(st.floats(5e-324, 1.0, exclude_max=True), st.sampled_from([0.5, 1e-12])),
+    slack=st.integers(0, 5),
+    data=st.data(),
+)
+def test_monotone_small_equals_reference(r, eps, slack, data):
+    theta = tuple(data.draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
+    spec = HypercubeSpec(Regime.MONOTONE_SMALL_K, 100, 2 * r + slack, r, eps, theta)
+    assert _monotone_small(spec).tolist() == ref_monotone_small(spec.k, r, eps, theta)
 
 
 # --- the numpy convex grid against the per-atom reference -------------------
@@ -245,7 +309,7 @@ def test_convex_grid_equals_reference(layout, data):
     else:
         scale = data.draw(st.floats(0.0, top))
     large = regime == Regime.CONVEX_LARGE_K
-    got = _convex_grid(regime, lengths, k, eps, bits, scale, q)
+    got = _grid_at_scale(regime, lengths, k, eps, bits, q)(scale)
     assert got.tolist() == ref_convex_grid(large, lengths, k, eps, bits, scale, q)
 
 
@@ -265,6 +329,6 @@ def test_convex_scale_equals_reference(layout, slack):
 def test_convex_grid_rounds_ties_to_even():
     # scale * 2**q = 2.5 rounds to 2, as Python's round() does
     q = _q(1)
-    grid = _convex_grid(Regime.CONVEX_SMALL_K, (3,), 3, 0.5, (0,), 2.5 * 2.0**-q, q)
+    grid = _grid_at_scale(Regime.CONVEX_SMALL_K, (3,), 3, 0.5, (0,), q)(2.5 * 2.0**-q)
     assert grid[0] == 2
     assert grid.tolist() == ref_convex_grid(False, (3,), 3, 0.5, (0,), 2.5 * 2.0**-q, q)
