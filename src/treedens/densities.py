@@ -87,8 +87,13 @@ class DiscreteDensity:
 
     def to_csv(self) -> str:
         """Rows of (index, mass), index 1-based, with a header line."""
-        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(self.mass.tolist(), start=1))
-        return "index,mass\n" + rows
+        return _atom_csv("index,mass", self.mass.tolist())
+
+
+def _atom_csv(header: str, values: list) -> str:
+    """The header line, then one row x,repr(v) per value, x from 1: the CSV
+    layout of every per-atom table (densities, counts, estimates)."""
+    return header + "\n" + "".join(f"{x},{v!r}\n" for x, v in enumerate(values, start=1))
 
 
 def _fsum(a: np.ndarray) -> float:

@@ -16,15 +16,13 @@ can shave off mass that a boundary leaf spread onto padded atoms, so
 estimates built on a padded domain may be sub-normalized; each builder
 takes a renormalize flag (default off) to rescale explicitly instead of
 hiding the adjustment.  Like a tree, an estimate is flat data: one tuple
-per piece field (starts, lengths, linear flags, values, slopes,
-intercepts), each value kept exactly as given.  The builders and
+per piece field, each value kept exactly as given.  The builders and
 monotonize read and write those columns; Piece records are made only when
 an estimate's .pieces is read.
 
 monotonize pools adjacent violators in exact arithmetic: the piece values
-become integers on one common binary scale, so merged averages are
-correctly rounded and independent of merge order.  Values that are
-already non-increasing are returned as they are, without the scan.
+become integers on one common scale, so merged averages are correctly
+rounded and independent of merge order.
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import ge
+from operator import attrgetter
 
 import numpy as np
 
-from .densities import DiscreteDensity, is_non_increasing, is_convex_non_increasing
+from .densities import DiscreteDensity, _atom_csv, is_non_increasing, is_convex_non_increasing
 from .errors import (
     BadParam,
     DomainMismatch,
@@ -248,14 +246,18 @@ class Piece:
         return self.slope * x + self.intercept
 
 
+_COLUMNS = ("starts", "lengths", "linear", "values", "slopes", "intercepts")
+_columns = attrgetter(*_COLUMNS)
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class PiecewiseEstimate:
     """A density estimate given piecewise over {1, ..., domain_k}.
 
     The estimate is kept flat, one tuple per piece field in left-to-right
-    order: starts, lengths, linear (True for a line slope*x + intercept,
-    False for a constant), values, slopes and intercepts.  Every field is
-    kept exactly as given, so a Python int value stays an int, and Piece
+    order, the fields being the columns below; linear is True for a line
+    slope*x + intercept and False for a constant.  Every field is kept
+    exactly as given, so a Python int value stays an int, and Piece
     records are built only when .pieces is read.  Equality and hashing
     compare the domain and the columns, which is the same as comparing
     the pieces.
@@ -286,30 +288,17 @@ class PiecewiseEstimate:
             pos += p.length
         if pos != domain_k + 1:
             raise BadParam(f"pieces cover 1..{pos - 1}, domain is 1..{domain_k}")
-        self.__dict__.update(
-            domain_k=domain_k,
-            starts=tuple(p.start for p in pieces),
-            lengths=tuple(p.length for p in pieces),
-            linear=tuple(p.kind == "linear" for p in pieces),
-            values=tuple(p.value for p in pieces),
-            slopes=tuple(p.slope for p in pieces),
-            intercepts=tuple(p.intercept for p in pieces),
-            pieces=pieces,
+        rows = (
+            (p.start, p.length, p.kind == "linear", p.value, p.slope, p.intercept) for p in pieces
         )
+        self.__dict__.update(zip(_COLUMNS, zip(*rows)), domain_k=domain_k, pieces=pieces)
 
     @classmethod
-    def _from_columns(cls, domain_k, starts, lengths, linear, values, slopes, intercepts):
-        """An estimate from columns that already tile 1..domain_k, unchecked."""
+    def _from_columns(cls, domain_k, *columns):
+        """An estimate from columns, in _COLUMNS order, that already tile
+        1..domain_k, unchecked."""
         est = cls.__new__(cls)
-        est.__dict__.update(
-            domain_k=domain_k,
-            starts=starts,
-            lengths=lengths,
-            linear=linear,
-            values=values,
-            slopes=slopes,
-            intercepts=intercepts,
-        )
+        est.__dict__.update(zip(_COLUMNS, columns), domain_k=domain_k)
         return est
 
     @classmethod
@@ -331,10 +320,7 @@ class PiecewiseEstimate:
         """The pieces as Piece records, built on first read."""
         return tuple(
             Piece(s, l, "linear" if lin else "constant", v, sl, ic)
-            for s, l, lin, v, sl, ic in zip(
-                self.starts, self.lengths, self.linear,
-                self.values, self.slopes, self.intercepts,
-            )
+            for s, l, lin, v, sl, ic in zip(*_columns(self))
         )
 
     def __repr__(self) -> str:
@@ -366,9 +352,7 @@ class PiecewiseEstimate:
 
     def to_json(self) -> str:
         out = []
-        for s, l, lin, v, sl, ic in zip(
-            self.starts, self.lengths, self.linear, self.values, self.slopes, self.intercepts
-        ):
+        for s, l, lin, v, sl, ic in zip(*_columns(self)):
             if lin:
                 out.append({"start": s, "len": l, "kind": "linear", "slope": sl, "intercept": ic})
             else:
@@ -376,14 +360,11 @@ class PiecewiseEstimate:
         return json.dumps({"domain_k": self.domain_k, "pieces": out})
 
     def to_csv(self) -> str:
-        lines = ["x,value"]
-        vals = self.atom_values()
-        lines.extend(f"{x + 1},{v!r}" for x, v in enumerate(vals.tolist()))
-        return "\n".join(lines) + "\n"
+        return _atom_csv("x,value", self.atom_values().tolist())
 
 
 # The estimates below are laid out flat, one row of six after another in
-# the column order (start, length, linear, value, slope, intercept).
+# _COLUMNS order: start, length, linear flag, value, slope, intercept.
 
 
 def _constant_row(start: int, length: int, value) -> tuple:
@@ -478,14 +459,10 @@ def _scaled(est: PiecewiseEstimate, renormalize: bool) -> PiecewiseEstimate:
     c = 1.0 / mass if mass > 0.0 else math.inf
     if c == math.inf:
         raise BadParam(f"cannot renormalize an estimate of total mass {mass!r}")
+    # the values, slopes and intercepts scale; starts, lengths and flags stay
+    columns = _columns(est)
     return PiecewiseEstimate._from_columns(
-        est.domain_k,
-        est.starts,
-        est.lengths,
-        est.linear,
-        tuple(v * c for v in est.values),
-        tuple(v * c for v in est.slopes),
-        tuple(v * c for v in est.intercepts),
+        est.domain_k, *columns[:3], *(tuple(v * c for v in col) for col in columns[3:])
     )
 
 
@@ -548,28 +525,20 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
     Merging two pieces replaces them by their length-weighted average, and
     iterating to a fixed point gives the same answer in every merge order.
     To honor that uniqueness in floats, the pooling arithmetic is exact:
-    every value is an integer over one common power-of-two denominator,
-    so block totals are Python ints.  Pieces that survive unmerged keep
-    their value exactly as given, and a merged block rounds once at the
-    end, by correctly rounded integer division.  Values that are already
-    finite and non-increasing are the fixed point and skip the pooling.
+    every value is an integer over the values' least common denominator
+    (a power of two for floats), so block totals are Python ints.  Pieces
+    that survive unmerged keep their value exactly as given, and a merged
+    block rounds once at the end, by correctly rounded integer division.
     The result's pieces are constant with zero slope and intercept.
     """
     if any(e.linear):
         raise NotPiecewiseConstant("monotonize applies to piecewise-constant estimates")
     values, lengths = e.values, e.lengths
-    zeros = (0.0,) * len(values)
-    # inf and NaN values fail these comparisons and go on to raise in
-    # as_integer_ratio below
-    if values[0] < math.inf and values[-1] > -math.inf and all(map(ge, values, values[1:])):
-        return PiecewiseEstimate._from_columns(
-            e.domain_k, e.starts, lengths, e.linear, values, zeros, zeros
-        )
-    ratios = [_ratio(v) for v in values]
-    den = max(d for _, d in ratios)
+    nums, dens = zip(*map(_ratio, values))
+    den = math.lcm(*dens)
     # block: [first piece index, last piece index, atom length, total * den]
     blocks: list[list] = []
-    for idx, (length, (num, d)) in enumerate(zip(lengths, ratios)):
+    for idx, (length, num, d) in enumerate(zip(lengths, nums, dens)):
         blocks.append([idx, idx, length, num * (den // d) * length])
         while len(blocks) >= 2:
             a, b = blocks[-2], blocks[-1]
@@ -588,6 +557,7 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
         out.append(values[first] if first == last else total / (den * length))
         pos += length
     m = len(blocks)
+    zeros = (0.0,) * m
     return PiecewiseEstimate._from_columns(
-        e.domain_k, tuple(starts), tuple(sizes), (False,) * m, tuple(out), zeros[:m], zeros[:m]
+        e.domain_k, tuple(starts), tuple(sizes), (False,) * m, tuple(out), zeros, zeros
     )

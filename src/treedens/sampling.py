@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DiscreteDensity
+from .densities import DiscreteDensity, _atom_csv
 from .errors import BadParam, OutOfRange
 
 _MASK64 = (1 << 64) - 1
@@ -88,9 +88,7 @@ class SampleCounts:
         return self.counts / self.n
 
     def to_csv(self) -> str:
-        lines = ["index,count"]
-        lines.extend(f"{x + 1},{int(c)}" for x, c in enumerate(self.counts))
-        return "\n".join(lines) + "\n"
+        return _atom_csv("index,count", self.counts.tolist())
 
 
 def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:

@@ -9,6 +9,8 @@ CSV bytes, the value at every atom and the total mass.
 
 import hashlib
 import json
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -321,20 +323,6 @@ def test_monotonize_output_has_zero_slopes():
     )
 
 
-class _NoRatio(float):
-    """A float whose exact ratio may not be asked for."""
-
-    def as_integer_ratio(self):
-        raise AssertionError("the integer scan ran")
-
-
-def test_monotonize_skips_the_scan_only_when_non_increasing():
-    down = [(2, _NoRatio(0.5)), (1, _NoRatio(0.5)), (1, _NoRatio(0.25))]
-    assert [p.value for p in monotonize(_constant_estimate(down)).pieces] == [0.5, 0.5, 0.25]
-    with pytest.raises(AssertionError, match="integer scan"):
-        monotonize(_constant_estimate([(1, _NoRatio(0.25)), (1, _NoRatio(0.5))]))
-
-
 @pytest.mark.parametrize(
     "pieces",
     [
@@ -362,6 +350,22 @@ def test_monotonize_pools_numpy_integers_exactly(pieces):
     got = monotonize(_constant_estimate(pieces))
     exact = [(l, int(v) if isinstance(v, np.integer) else v) for l, v in pieces]
     assert [(p.length, p.value) for p in got.pieces] == ref_monotonize(exact)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [(1, Fraction(2, 3)), (1, Fraction(3, 5))],
+        [(1, Fraction(3, 5)), (2, Fraction(2, 3))],
+        [(2, Fraction(1, 3)), (1, 0.5), (1, 0.25)],
+        [(1, Decimal("0.3")), (1, Decimal("0.25")), (3, Decimal("0.26"))],
+    ],
+)
+def test_monotonize_pools_rationals_on_their_common_denominator(pieces):
+    # the largest denominator once stood for the common one, which
+    # mis-scales totals whose denominators do not divide it
+    got = monotonize(_constant_estimate(pieces))
+    assert [(p.length, p.value) for p in got.pieces] == ref_monotonize(pieces)
 
 
 def test_monotonize_rejects_a_value_without_an_exact_ratio():
