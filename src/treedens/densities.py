@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ NORMALIZATION_TOL = 1e-9
 
 # atoms per tolist() chunk fed to math.fsum
 _FSUM_CHUNK = 1 << 16
+
+# the longest array of 8-byte items numpy can describe; past it numpy
+# raises ValueError rather than MemoryError
+_MAX_SIZE = int(np.iinfo(np.intp).max) // 8
 
 UNIFORM = "uniform"
 HARMONIC_ZIPF = "harmonic-zipf"
@@ -94,6 +99,13 @@ def _atom_csv(header: str, values: list) -> str:
     """The header line, then one row x,repr(v) per value, x from 1: the CSV
     layout of every per-atom table (densities, counts, estimates)."""
     return header + "\n" + "".join(f"{x},{v!r}\n" for x, v in enumerate(values, start=1))
+
+
+def _check_size(name: str, v, error=BadParam) -> None:
+    """Raise error unless v is an integer no larger than _MAX_SIZE, so that
+    a size past numpy's index range fails here and not inside numpy."""
+    if not isinstance(v, numbers.Integral) or v > _MAX_SIZE:
+        raise error(f"{name} must be an integer of at most {_MAX_SIZE}, got {v!r}")
 
 
 def _fsum(a: np.ndarray) -> float:
@@ -201,6 +213,7 @@ def family(name: str, k: int, param: float | None = None) -> DiscreteDensity:
     All four families are non-increasing; all but some harmonic cases are
     also convex non-increasing ("harmonic-zipf" is convex since 1/x is).
     """
+    _check_size("k", k)
     if k < 1:
         raise BadParam("k must be >= 1")
     if name == UNIFORM:

@@ -40,7 +40,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .densities import DiscreteDensity, is_convex_non_increasing, is_non_increasing
+from .densities import DiscreteDensity, _check_size, is_convex_non_increasing, is_non_increasing
 from .errors import BadParam, InfeasibleSpec, OutOfRegime
 
 
@@ -388,6 +388,7 @@ def assouad_density(spec: HypercubeSpec) -> DiscreteDensity:
     Atoms after the last bin carry zero mass in the monotone regimes and
     the convexity-preserving ramp in the convex ones.
     """
+    _check_size("k", spec.k, InfeasibleSpec)
     if spec.regime == Regime.MONOTONE_LARGE_K:
         mass = _monotone_large(spec)
     elif spec.regime == Regime.MONOTONE_SMALL_K:

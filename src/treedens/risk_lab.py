@@ -22,7 +22,7 @@ from math import fsum
 
 import numpy as np
 
-from .densities import FAMILY_NAMES, DiscreteDensity, family
+from .densities import FAMILY_NAMES, DiscreteDensity, _check_size, family
 from .errors import (
     BadParam,
     DegenerateGrid,
@@ -204,6 +204,10 @@ def mc_risk(
     drawn; a custom callable always runs per replication.
     """
     name, fn, fit = _resolve(estimator)
+    _check_size("reps", reps)
+    for what, v in (("n", n), ("threads", threads)):
+        if not isinstance(v, numbers.Integral):
+            raise BadParam(f"{what} must be an integer, got {v!r}")
     if reps < 1:
         raise BadParam(f"need reps >= 1, got {reps}")
     if threads < 1:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DiscreteDensity, _atom_csv
+from .densities import DiscreteDensity, _atom_csv, _check_size
 from .errors import BadParam, OutOfRange
 
 _MASK64 = (1 << 64) - 1
@@ -97,6 +97,7 @@ def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     The uniforms are sorted and merged against the CDF edges (see the
     module docstring): O(n log n + k log n) time, one 8n-byte buffer.
     """
+    _check_size("n", n)
     if n < 0:
         raise BadParam("n must be >= 0")
     if seed < 0:

@@ -198,6 +198,42 @@ def test_assouad_too_many_bins_is_one_line_error(capsys, regime, eps, r):
     assert err.startswith("treedens assouad: bins need at least") and err.count("\n") == 1
 
 
+_HUGE = str(10**20)
+_PAST_FLOATS = str(10**30)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--family", "uniform", "--k", _HUGE, "--n", "10", "--estimator", "oracle"],
+        ["estimate", "--family", "uniform", "--k", str(2**60), "--n", "10",
+         "--estimator", "oracle"],
+        ["estimate", "--family", "uniform", "--k", "8", "--n", _HUGE,
+         "--estimator", "greedy-binary"],
+        ["simulate", "--family", "uniform", "--k", _HUGE, "--n", "10", "--estimator", "oracle",
+         "--reps", "1"],
+        ["simulate", "--family", "uniform", "--k", "8", "--n", _HUGE,
+         "--estimator", "greedy-binary", "--reps", "1"],
+        ["simulate", "--family", "uniform", "--k", "8", "--n", "10",
+         "--estimator", "greedy-binary", "--reps", _HUGE],
+        ["mde", "--candidates", "uniform", "--family", "uniform", "--k", _HUGE, "--n", "10"],
+        ["assouad", "--regime", "monotone-small-k", "--n", "100", "--k", _HUGE,
+         "--r", "3", "--epsilon", "0.5"],
+        ["assouad", "--regime", "monotone-large-k", "--n", "100", "--k", _PAST_FLOATS,
+         "--r", "30", "--epsilon", "0.5"],
+        ["assouad", "--regime", "convex-large-k", "--n", "100", "--k", _PAST_FLOATS,
+         "--r", "70", "--epsilon", "0.5"],
+    ],
+)
+def test_size_past_the_array_range_is_one_line_error(capsys, argv):
+    # numpy's "Maximum allowed dimension exceeded" or "array is too big"
+    # ValueError, or an OverflowError, escaped as a traceback
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"treedens {argv[0]}: ") and err.count("\n") == 1
+    assert "must be an integer of at most" in err
+
+
 @pytest.mark.parametrize(
     "message, argv",
     [

@@ -350,3 +350,11 @@ def test_make_density_array_peak_memory():
 def test_make_density_rejects_non_sequences(bad):
     with pytest.raises(BadParam):
         make_density(bad)
+
+
+@pytest.mark.parametrize("k", [4.5, 4.0, "4", 2**60, 10**20])
+def test_family_rejects_a_k_that_cannot_size_an_array(k):
+    # a float k was a numpy TypeError, and a k past numpy's index range a
+    # ValueError, raised while building the mass array
+    with pytest.raises(BadParam, match="^k must be an integer of at most"):
+        family("uniform", k)

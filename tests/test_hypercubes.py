@@ -332,3 +332,16 @@ def test_convex_grid_rounds_ties_to_even():
     grid = _grid_at_scale(Regime.CONVEX_SMALL_K, (3,), 3, 0.5, (0,), q)(2.5 * 2.0**-q)
     assert grid[0] == 2
     assert grid.tolist() == ref_convex_grid(False, (3,), 3, 0.5, (0,), 2.5 * 2.0**-q, q)
+
+
+@pytest.mark.parametrize(
+    "regime, r, eps",
+    [(Regime.MONOTONE_SMALL_K, 3, 0.5), (MLK, 30, 0.5), (CLK, 70, 0.5)],
+)
+def test_assouad_density_rejects_a_k_past_the_array_range(regime, r, eps):
+    # the spec and its bins need no array, but the density did: numpy's
+    # ValueError or an int64 OverflowError escaped
+    spec = HypercubeSpec(regime, 100, 10**30, r, eps, (0,) * r)
+    assert len(hypercube_bins(spec)) == r
+    with pytest.raises(InfeasibleSpec, match="^k must be an integer of at most"):
+        assouad_density(spec)

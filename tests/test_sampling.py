@@ -238,3 +238,10 @@ def test_sample_makes_what_the_public_constructor_accepts(w, n, seed):
     got = sample(f, n, seed)
     assert got.counts.dtype == np.int64 and got.counts.flags.c_contiguous
     assert _same_counts(got, SampleCounts(f.k, n, got.counts.copy()))
+
+
+@pytest.mark.parametrize("n", [2.5, 10.0, 2**60, 10**20])
+def test_sample_rejects_an_n_that_cannot_size_an_array(n):
+    # numpy's TypeError or ValueError escaped from Generator.random(n)
+    with pytest.raises(BadParam, match="^n must be an integer of at most"):
+        sample(family("uniform", 4), n, 0)
