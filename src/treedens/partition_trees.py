@@ -534,11 +534,11 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
     if any(e.linear):
         raise NotPiecewiseConstant("monotonize applies to piecewise-constant estimates")
     values, lengths = e.values, e.lengths
-    nums, dens = zip(*map(_ratio, values))
-    den = math.lcm(*dens)
+    ratios = [_ratio(v) for v in values]
+    den = math.lcm(*[d for _, d in ratios])
     # block: [first piece index, last piece index, atom length, total * den]
     blocks: list[list] = []
-    for idx, (length, num, d) in enumerate(zip(lengths, nums, dens)):
+    for idx, (length, (num, d)) in enumerate(zip(lengths, ratios)):
         blocks.append([idx, idx, length, num * (den // d) * length])
         while len(blocks) >= 2:
             a, b = blocks[-2], blocks[-1]
