@@ -205,9 +205,9 @@ def mc_risk(
     """
     name, fn, fit = _resolve(estimator)
     _check_size("reps", reps)
-    for what, v in (("n", n), ("threads", threads)):
-        if not isinstance(v, numbers.Integral):
-            raise BadParam(f"{what} must be an integer, got {v!r}")
+    _check_size("threads", threads)
+    if not isinstance(n, numbers.Integral):
+        raise BadParam(f"n must be an integer, got {n!r}")
     if reps < 1:
         raise BadParam(f"need reps >= 1, got {reps}")
     if threads < 1:
