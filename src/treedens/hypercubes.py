@@ -20,18 +20,21 @@ decided by rounding noise.
 
 The convex grid is computed per bin with numpy in int64: one cumulative sum
 for the anchor chain, one reversed running maximum for the decrement caps
-and one cumulative sum over the per-atom decrements.  Its values stay below
-about 2**54 even at the top of the normalization's bisection bracket, where
-an int64 total over a few hundred atoms could wrap, so the totals that
-decide the bisection are exact Python ints.  The bisection stops at its
-fixed point, the first step that leaves its bracket unchanged: a step
-depends on the bracket alone, so the steps it skips would all repeat it
-and the scale is the one the full step budget gives.
+and one cumulative sum over the per-atom decrements.  The normalization's
+bisection never builds it: each step takes the grid's total in closed form
+from the same per-bin chain, in O(r) whatever k is.  That total is exact in
+Python ints, since the atoms reach about 2**54 at the top of the bracket
+and an int64 sum over a few hundred of them could wrap.  The bisection
+stops at its fixed point, the first step that leaves its bracket
+unchanged: a step depends on the bracket alone, so the steps it skips
+would all repeat it and the scale is the one the full step budget gives.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -119,9 +122,10 @@ class HypercubeSpec:
 
     n is the sample size the family is tuned against; it does not affect
     the construction itself, only default parameter choices and the value
-    of the resulting bound.  Validation checks the regime's epsilon range,
-    the bit vector, and that the r bins fit inside {1, ..., k}; the bin
-    layout is frozen into ``bin_lengths``.  The fit is checked against the
+    of the resulting bound.  Validation checks that n, k and r are
+    integers and epsilon a real number, the regime's epsilon range, the bit
+    vector, and that the r bins fit inside {1, ..., k}; the bin layout is
+    frozen into ``bin_lengths``.  The fit is checked against the
     shortest possible bins (2 or 3 atoms each) before any bin is built, and
     the growing large-k layouts stop as soon as their running total
     passes k, so an infeasible r builds at most about k/2 bins.
@@ -136,6 +140,10 @@ class HypercubeSpec:
     bin_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.k, self.r)):
+            raise BadParam(f"n, k and r must be integers, got {self.n!r}, {self.k!r}, {self.r!r}")
+        if not isinstance(self.epsilon, numbers.Real):
+            raise BadParam(f"epsilon must be a real number, got {self.epsilon!r}")
         if self.n < 1:
             raise BadParam("n must be >= 1")
         if self.k < 1 or self.r < 1:
@@ -272,10 +280,13 @@ def _grid_at_scale(
     down by the final decrement until it crosses zero.  Returns an int64
     array of max(k, sum(bin_lengths)) atoms.
 
-    Everything that does not depend on the scale (bin sizes, run counts,
-    the anchor chain's steps, and the dips in the small-k regime) is
-    computed once here, so the bisection in _convex_scale pays only for
-    the scale-dependent part.
+    The returned map's ``total(scale)`` is the exact Python-int sum of that
+    array, in closed form from the same per-bin g and eta, without building
+    it.  Everything that does not depend on the scale (bin sizes, run
+    counts, the bins' weights in the total, the anchor chain's steps, and
+    the dips and their caps in the small-k regime) is computed once here,
+    so each step of the bisection in _convex_scale costs O(r), whatever k
+    is.
     """
     r = len(bin_lengths)
     grid = float(2**q)
@@ -284,6 +295,25 @@ def _grid_at_scale(
     # per bin, bit 0 runs [g+2h] x m then [g-h] x 2m, bit 1 [g+h] x 2m then [g-2h] x m
     counts = np.column_stack(((1 + b) * ms, (2 - b) * ms)).ravel()
     in_bins = int(counts.sum())
+    # with either bit, bin i sums to 3m Y_i - 3m(3m-1)/2 g_i - 3m^2 eta_i,
+    # where Y_i = y - 3 sum_{l<i} m_l g_l is its top atom; so over all bins
+    # g_i also weighs 3 m_i for each of the 3 sum_{l>i} m_l later atoms
+    mlist = ms.tolist()
+    g_weights = [
+        9 * m * (in_bins // 3 - p) + 3 * m * (3 * m - 1) // 2
+        for m, p in zip(mlist, accumulate(mlist))
+    ]
+    h_weights = [3 * m * m for m in mlist]
+
+    def by_eta(eta: np.ndarray) -> tuple[np.ndarray, int]:
+        """The caps D_i, suffix sums of the step terms 2 eta_l + 2 eta_{l+1}
+        over l >= i with D_r = 0 appended, and the eta terms of the total."""
+        step = 2 * eta
+        step[:-1] += 2 * eta[1:]
+        suffix = np.zeros(r + 1, dtype=np.int64)
+        suffix[:-1] = np.cumsum(step[::-1])[::-1]
+        return suffix, sum(map(operator.mul, eta.tolist(), h_weights))
+
     large = regime == Regime.CONVEX_LARGE_K
     if large:
         powers = np.array([(1.0 - eps) ** i for i in range(r + 1)])
@@ -294,41 +324,58 @@ def _grid_at_scale(
         steps[1::2] = -alpha / 2.0
         steps[2::2] = -(alpha * np.arange(r - 1, -1, -1, dtype=float))
         small_eta = np.rint(alpha / 6.0 * grid / (2.0 * ms)).astype(np.int64)
+        small_by_eta = by_eta(small_eta)
 
-    def at(scale: float) -> np.ndarray:
+    def chain(scale: float) -> tuple[int, np.ndarray, np.ndarray, int]:
+        """The top atom y, the per-bin g and eta, and the eta terms of the
+        total at scale."""
         if large:
             beta = scale * powers
             delta = eps * (beta[:-1] - beta[1:]) / 3.0
             eta = np.rint(delta * grid / (2.0 * ms)).astype(np.int64)
+            suffix, dips = by_eta(eta)
         else:
             steps[0] = scale
             beta = np.cumsum(steps)[::2]
-            eta = small_eta
+            eta, (suffix, dips) = small_eta, small_by_eta
         want = np.rint((beta[:-1] - beta[1:]) * grid / (3.0 * ms)).astype(np.int64)
         # g_i = max(want_i, g_{i+1} + 2 eta_{i+1} + 2 eta_i), with g_r = 0 and
-        # eta_r = 0: g_i = D_i + max_{j >= i} (want_j - D_j), where D_i is
-        # the suffix sum of the step terms 2 eta_l + 2 eta_{l+1}, l >= i
-        step = 2 * eta
-        step[:-1] += 2 * eta[1:]
-        suffix = np.zeros(r + 1, dtype=np.int64)
-        suffix[:-1] = np.cumsum(step[::-1])[::-1]
-        reach = np.append(want, 0) - suffix
+        # eta_r = 0: g_i = D_i + max_{j >= i} (want_j - D_j)
+        reach = -suffix
+        reach[:-1] += want
         g = (np.maximum.accumulate(reach[::-1])[::-1] + suffix)[:-1]
+        return int(np.rint(beta[0] * grid)), g, eta, dips
+
+    def ramp(y: int, g: np.ndarray, eta: np.ndarray) -> tuple[int, int, int]:
+        """The ramp's first atom v = y - 3 sum m_i g_i (the eta terms cancel),
+        its decrement, and how many atoms it fills: while v > 0, up to k."""
+        v = y - 3 * int(ms @ g)
+        dec = int(g[-1] - 2 * eta[-1])
+        room = k - in_bins
+        if v <= 0 or room <= 0:
+            return v, dec, 0
+        return v, dec, room if dec <= 0 else min(room, -(-v // dec))
+
+    def at(scale: float) -> np.ndarray:
+        y, g, eta, _ = chain(scale)
         decs = np.column_stack((g + (2 - b) * eta, g - (1 + b) * eta)).ravel()
         drops = np.cumsum(np.repeat(decs, counts))
-        y = int(np.rint(beta[0] * grid))
         vals = np.zeros(max(k, in_bins), dtype=np.int64)
         vals[0] = y
         vals[1:in_bins] = y - drops[:-1]
-        # after the last bin, ramp down by the last decrement while positive
-        v = y - int(drops[-1])
-        tail_dec = int(g[-1] - 2 * eta[-1])
-        room = k - in_bins
-        if v > 0 and room > 0:
-            t = room if tail_dec <= 0 else min(room, -(-v // tail_dec))
-            vals[in_bins : in_bins + t] = v - tail_dec * np.arange(t, dtype=np.int64)
+        v, dec, t = ramp(y, g, eta)
+        if t:
+            vals[in_bins : in_bins + t] = v - dec * np.arange(t, dtype=np.int64)
         return vals
 
+    def total(scale: float) -> int:
+        # in Python ints: atoms reach about 2**54 and weights about in_bins**2
+        y, g, eta, dips = chain(scale)
+        v, dec, t = ramp(y, g, eta)
+        bins = in_bins * y - sum(map(operator.mul, g.tolist(), g_weights)) - dips
+        return bins + t * v - dec * (t * (t - 1) // 2)
+
+    at.total = total
     return at
 
 
@@ -341,6 +388,7 @@ def _convex_scale(
     Mass is theta-independent, so bisecting with the all-zeros corner
     settles every corner.  The grid exponent q keeps the largest integer
     value below 2**51, which keeps the predicate's float arithmetic exact.
+    Each step reads the grid's exact closed-form total, never the grid.
 
     The bisection runs at most 80 steps but stops at its fixed point: once
     the float midpoint equals the end it would replace, the step leaves
@@ -352,13 +400,7 @@ def _convex_scale(
     r = len(bin_lengths)
     q = 49 + max(0, int(math.floor(math.log2(r))))
     target = 2**q
-    grid_at = _grid_at_scale(regime, bin_lengths, k, eps, (0,) * r, q)
-
-    def mass(scale: float) -> int:
-        # exact: at the bracket top the atoms reach about 2**54, so an int64
-        # sum over a few hundred of them could wrap
-        return sum(grid_at(scale).tolist())
-
+    mass = _grid_at_scale(regime, bin_lengths, k, eps, (0,) * r, q).total
     lo, hi = 0.0, 4.0 / r
     for _ in range(4):
         if mass(hi) >= target:

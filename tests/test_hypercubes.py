@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +137,24 @@ def test_bad_theta_rejected():
         HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, (0, 2))
     with pytest.raises(BadParam):
         HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, (0,))
+
+
+@pytest.mark.parametrize(
+    "n, k, r, eps",
+    [
+        (100.5, 6, 3, 0.5),
+        (100, 6.5, 3, 0.5),
+        (100, 6, 3.0, 0.5),
+        (100, 6, 3, "x"),
+        (100, 6, 3, None),
+        (100, 6, 3, "0.5"),
+    ],
+)
+def test_non_integer_sizes_and_non_real_epsilon_rejected(n, k, r, eps):
+    # a float n or k constructed and flowed on, r=3.0 and epsilon=None or
+    # "x" ended in a bare TypeError or ValueError, and "0.5" was kept as a str
+    with pytest.raises(BadParam, match="must be"):
+        HypercubeSpec(Regime.MONOTONE_SMALL_K, n, k, r, eps, (0, 0, 0))
 
 
 def test_epsilon_range_enforced():
@@ -324,6 +343,42 @@ def test_convex_scale_equals_reference(layout, slack):
             _convex_scale(regime, lengths, k, eps)
     else:
         assert _convex_scale(regime, lengths, k, eps) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=_convex_layout(), data=st.data())
+def test_convex_total_equals_grid_sum(layout, data):
+    regime, lengths, eps = layout
+    r, q = len(lengths), _q(len(lengths))
+    k = sum(lengths) + data.draw(st.integers(-2, 40))
+    top = 32.0 / r
+    which = data.draw(st.sampled_from(["zero", "tuned", "top", "tie", "any"]))
+    if which == "zero":
+        scale = 0.0
+    elif which == "tuned":
+        try:
+            scale = _convex_scale(regime, lengths, k, eps)[0]
+        except InfeasibleSpec:
+            scale = top
+    elif which == "top":
+        scale = top
+    elif which == "tie":
+        scale = (2 * data.draw(st.integers(0, 2**20)) + 1) * 2.0 ** -(q + 1)
+    else:
+        scale = data.draw(st.floats(0.0, top))
+    at = _grid_at_scale(regime, lengths, k, eps, (0,) * r, q)
+    assert at.total(scale) == sum(at(scale).tolist())
+
+
+def test_convex_scale_memory_does_not_grow_with_k():
+    # each bisection step once built a k-atom int64 grid and a k-int list
+    tracemalloc.start()
+    try:
+        _convex_scale.__wrapped__(Regime.CONVEX_SMALL_K, (3, 3, 3), 10**6, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_convex_grid_rounds_ties_to_even():
