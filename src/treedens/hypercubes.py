@@ -43,7 +43,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .densities import DiscreteDensity, _check_size, is_convex_non_increasing, is_non_increasing
+from .densities import DiscreteDensity, _check_int, is_convex_non_increasing, is_non_increasing
 from .errors import BadParam, InfeasibleSpec, OutOfRegime
 
 
@@ -140,14 +140,11 @@ class HypercubeSpec:
     bin_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.k, self.r)):
-            raise BadParam(f"n, k and r must be integers, got {self.n!r}, {self.k!r}, {self.r!r}")
+        # no upper bound: a spec builds no array, and specs are built at k = 10**400
+        for name in ("n", "k", "r"):
+            _check_int(name, getattr(self, name), 1, None)
         if not isinstance(self.epsilon, numbers.Real):
             raise BadParam(f"epsilon must be a real number, got {self.epsilon!r}")
-        if self.n < 1:
-            raise BadParam("n must be >= 1")
-        if self.k < 1 or self.r < 1:
-            raise BadParam("k and r must be >= 1")
         bits = tuple(int(b) for b in self.theta)
         if len(bits) != self.r or any(b not in (0, 1) for b in bits):
             raise BadParam(f"theta must be a vector of {self.r} bits")
@@ -187,8 +184,8 @@ def assouad_default_params(regime: Regime, n: int, k: int) -> tuple[int, float]:
     smallest integer in it is returned.
     """
     regime = Regime(regime)
-    if n < 1 or k < 1:
-        raise BadParam("n and k must be >= 1")
+    _check_int("n", n, 1, None)
+    _check_int("k", k, 1, None)
     if regime == Regime.MONOTONE_LARGE_K:
         n3 = n ** (1.0 / 3.0)
         # the upper limit k <= n^{1/3} e^n is compared in log space so that
@@ -430,7 +427,7 @@ def assouad_density(spec: HypercubeSpec) -> DiscreteDensity:
     Atoms after the last bin carry zero mass in the monotone regimes and
     the convexity-preserving ramp in the convex ones.
     """
-    _check_size("k", spec.k, InfeasibleSpec)
+    _check_int("k", spec.k, 1, error=InfeasibleSpec)
     if spec.regime == Regime.MONOTONE_LARGE_K:
         mass = _monotone_large(spec)
     elif spec.regime == Regime.MONOTONE_SMALL_K:

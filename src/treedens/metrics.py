@@ -15,7 +15,7 @@ from math import fsum
 
 import numpy as np
 
-from .densities import DiscreteDensity
+from .densities import DiscreteDensity, _check_int
 from .errors import BadParam, BadParams, DomainMismatch, TooLarge
 from .partition_trees import PiecewiseEstimate
 
@@ -98,14 +98,12 @@ def assouad_lower_bound(r: int, alpha: float, beta: float, n: int) -> float:
     separation, beta the single-flip affinity floor, n the sample size.
     Clamped at zero: a vacuous bound is reported as 0 rather than negative.
     """
-    if r < 1:
-        raise BadParams(f"need r >= 1, got {r}")
+    _check_int("r", r, 1, None, BadParams)
     if not alpha > 0.0:
         raise BadParams(f"need alpha > 0, got {alpha}")
     if not 0.0 < beta <= 1.0:
         raise BadParams(f"need beta in (0, 1], got {beta}")
-    if n < 1:
-        raise BadParams(f"need n >= 1, got {n}")
+    _check_int("n", n, 1, None, BadParams)
     return max(0.0, (r * alpha / 4.0) * (1.0 - math.sqrt(2.0 * n * (1.0 - beta))))
 
 
@@ -127,10 +125,8 @@ class RateRegime:
 
 
 def _rate(shape_class: str, n: int, k: int, root: int, log_base: float, mid_exp: float) -> RateRegime:
-    if n < 1:
-        raise BadParams(f"need n >= 1, got {n}")
-    if k < 2:
-        raise BadParams(f"need k >= 2, got {k}")
+    _check_int("n", n, 1, None, BadParams)
+    _check_int("k", k, 2, None, BadParams)
     pivot = n ** (1.0 / root)
     if k <= log_base * pivot:
         return RateRegime(shape_class, n, k, RateBranch.SMALL_K, math.sqrt(k / n))
@@ -177,10 +173,8 @@ def vc_unions_intervals_brute(ell: int, m: int) -> int:
     subset.  The answer is min(m, 2 ell); the search exists to certify that
     independently.  Capped at ell <= 4, m <= 24.
     """
-    if ell < 1:
-        raise BadParams(f"need ell >= 1, got {ell}")
-    if m < 1:
-        raise BadParams(f"need m >= 1, got {m}")
+    _check_int("ell", ell, 1, None, BadParams)
+    _check_int("m", m, 1, None, BadParams)
     if ell > _VC_ELL_CAP or m > _VC_M_CAP:
         raise TooLarge(f"caps are ell <= {_VC_ELL_CAP}, m <= {_VC_M_CAP}")
 

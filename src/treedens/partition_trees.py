@@ -38,7 +38,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from .densities import DiscreteDensity, _atom_csv, is_non_increasing, is_convex_non_increasing
+from .densities import (
+    DiscreteDensity,
+    _atom_csv,
+    _check_int,
+    is_convex_non_increasing,
+    is_non_increasing,
+)
 from .errors import (
     BadParam,
     DomainMismatch,
@@ -53,8 +59,7 @@ def pad_to_power(k: int, arity: int) -> int:
     """Smallest power of the arity at least k."""
     if arity not in (2, 3):
         raise BadParam("arity must be 2 or 3")
-    if k < 1:
-        raise BadParam("k must be >= 1")
+    _check_int("k", k, 1, None)
     padded = 1
     while padded < k:
         padded *= arity
@@ -185,8 +190,7 @@ def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
 def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
     """The deterministic binary tree the greedy one imitates: counts are
     replaced by their expectations under f at sample size n."""
-    if n < 1:
-        raise BadParam("n must be >= 1")
+    _check_int("n", n, 1, None)
     if not is_non_increasing(f):
         raise NotMonotone("the idealized binary tree needs a non-increasing density")
     return _build_tree(
@@ -204,8 +208,7 @@ def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
 def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
     """Deterministic ternary tree splitting where f's interval masses have
     curvature above the sampling noise scale."""
-    if n < 1:
-        raise BadParam("n must be >= 1")
+    _check_int("n", n, 1, None)
     if not is_convex_non_increasing(f):
         raise NotConvex("the idealized ternary tree needs a convex non-increasing density")
     return _build_tree(
@@ -236,8 +239,8 @@ class Piece:
     def __post_init__(self):
         if self.kind not in ("constant", "linear"):
             raise BadParam(f"unknown piece kind {self.kind!r}")
-        if self.start < 1 or self.length < 1:
-            raise BadParam("pieces need start >= 1 and length >= 1")
+        _check_int("start", self.start, 1)
+        _check_int("length", self.length, 1)
 
     def atom_values(self) -> np.ndarray:
         if self.kind == "constant":
@@ -340,8 +343,7 @@ class PiecewiseEstimate:
         return vals
 
     def __call__(self, x: int) -> float:
-        if not 1 <= x <= self.domain_k:
-            raise DomainMismatch(f"atom {x} outside 1..{self.domain_k}")
+        _check_int("atom", x, 1, self.domain_k, DomainMismatch)
         i = bisect_right(self.starts, x) - 1
         if self.linear[i]:
             return self.slopes[i] * x + self.intercepts[i]

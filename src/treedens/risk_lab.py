@@ -22,7 +22,7 @@ from math import fsum
 
 import numpy as np
 
-from .densities import FAMILY_NAMES, DiscreteDensity, _check_size, family
+from .densities import FAMILY_NAMES, DiscreteDensity, _check_int, family
 from .errors import (
     BadParam,
     DegenerateGrid,
@@ -204,16 +204,10 @@ def mc_risk(
     drawn; a custom callable always runs per replication.
     """
     name, fn, fit = _resolve(estimator)
-    _check_size("reps", reps)
-    _check_size("threads", threads)
-    if not isinstance(n, numbers.Integral):
-        raise BadParam(f"n must be an integer, got {n!r}")
-    if reps < 1:
-        raise BadParam(f"need reps >= 1, got {reps}")
-    if threads < 1:
-        raise BadParam(f"need threads >= 1, got {threads}")
-    if n < 0:
-        raise BadParam("n must be >= 0")
+    _check_int("reps", reps, 1)
+    _check_int("threads", threads, 1)
+    _check_int("n", n, 0, None)
+    _check_int("master_seed", master_seed, None, None)
 
     if fit is not None:
         losses = [tv(f.mass, _atom_values(fit(f, n, None)))] * reps
@@ -345,6 +339,7 @@ def rate_scaling(
     derived master seed, so growing the grid does not reshuffle earlier
     points.
     """
+    _check_int("seed", seed, None, None)
     n_grid = [_grid_point(v) for v in n_grid]
     if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DegenerateGrid(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DiscreteDensity, _atom_csv, _check_size
+from .densities import DiscreteDensity, _atom_csv, _check_int
 from .errors import BadParam, OutOfRange
 
 _MASK64 = (1 << 64) - 1
@@ -36,6 +36,8 @@ def derive_seed(master_seed: int, replication: int) -> int:
     """Per-replication seed, mixed so that nearby (master, rep) pairs land
     far apart in seed space.  Used by the Monte Carlo driver so replication
     j is reproducible in isolation, without generating j-1 predecessors."""
+    _check_int("master_seed", master_seed, None, None)
+    _check_int("replication", replication, 0)
     x = (master_seed + (replication + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -54,6 +56,7 @@ class SampleCounts:
     counts: np.ndarray
 
     def __post_init__(self):
+        _check_int("n", self.n, 0, None)  # counts past 2**63 are kept exactly
         raw = np.asarray(self.counts)
         if raw.dtype.kind not in "biu":
             vals = raw.astype(float)
@@ -65,7 +68,7 @@ class SampleCounts:
         if counts.shape != (self.k,):
             raise BadParam(f"expected {self.k} counts, got shape {counts.shape}")
         # two plain reductions: np.any(counts < 0) costs as much as both
-        if self.n < 0 or counts.min(initial=0) < 0:
+        if counts.min(initial=0) < 0:
             raise BadParam("counts must be non-negative")
         total = int(counts.sum())
         if int(counts.max(initial=0)) * self.k >= 2**63:
@@ -97,11 +100,8 @@ def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     The uniforms are sorted and merged against the CDF edges (see the
     module docstring): O(n log n + k log n) time, one 8n-byte buffer.
     """
-    _check_size("n", n)
-    if n < 0:
-        raise BadParam("n must be >= 0")
-    if seed < 0:
-        raise BadParam(f"seed must be >= 0, got {seed}")
+    _check_int("n", n, 0)
+    _check_int("seed", seed, 0, None)
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
     return SampleCounts._trusted(density.k, n, _counts_from_uniforms(density.mass, u))
 
@@ -126,8 +126,8 @@ def _counts_from_uniforms(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def interval_count(sc: SampleCounts, start: int, length: int) -> int:
     """Draws landing in the atoms {start, ..., start+length-1}, 1-based."""
-    if start < 1 or length < 1 or start + length - 1 > sc.k:
-        raise OutOfRange(f"interval [{start}, {start + length - 1}] not inside 1..{sc.k}")
+    _check_int("start", start, 1, sc.k, OutOfRange)
+    _check_int("length", length, 1, sc.k - start + 1, OutOfRange)
     return int(sc.counts[start - 1 : start - 1 + length].sum())
 
 
