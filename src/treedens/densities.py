@@ -4,6 +4,11 @@ A density is a non-negative mass vector summing to 1.  The two shape classes
 of interest are the non-increasing densities and the convex non-increasing
 densities; both predicates use exact comparisons, no tolerance, so anything
 claiming membership has to earn it in actual float arithmetic.
+
+Every size, count, seed and atom index in the package passes one rule,
+_check_int: an integer (a numbers.Integral, never a bool) within its
+site's bounds, or the site's TreedensError.  A size that makes an array
+stops at _MAX_SIZE; sample counts, spec sizes and rate inputs do not.
 """
 
 from __future__ import annotations
@@ -171,9 +176,14 @@ def make_density(mass) -> DiscreteDensity:
 
 
 def density_from_json(text: str) -> DiscreteDensity:
-    obj = json.loads(text)
-    d = make_density(obj["mass"])
-    if d.k != int(obj["k"]):
+    try:
+        obj = json.loads(text)
+        mass, k = obj["mass"], obj["k"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BadParam(f"density JSON needs k and mass fields: {exc!r}") from None
+    _check_int("k", k, 1)
+    d = make_density(mass)
+    if d.k != k:
         raise DomainMismatch("k field disagrees with mass length")
     return d
 
@@ -182,7 +192,10 @@ def density_from_csv(text: str) -> DiscreteDensity:
     rows = list(csv.reader(io.StringIO(text)))
     if rows and rows[0][:1] == ["index"]:
         rows = rows[1:]
-    pairs = sorted((int(r[0]), float(r[1])) for r in rows if r)
+    try:
+        pairs = sorted((int(r[0]), float(r[1])) for r in rows if r)
+    except (ValueError, IndexError) as exc:
+        raise BadParam(f"csv rows must be index,mass pairs of numbers: {exc}") from None
     if [i for i, _ in pairs] != list(range(1, len(pairs) + 1)):
         raise BadParam("csv rows must cover indices 1..k exactly once")
     return make_density([v for _, v in pairs])
@@ -238,8 +251,8 @@ def family(name: str, k: int, param: float | None = None) -> DiscreteDensity:
     elif name == TRUNC_GEOMETRIC:
         if param is None:
             param = 0.9
-        if not 0.0 < param < 1.0:
-            raise BadParam("trunc-geometric needs a ratio in (0, 1)")
+        if not (isinstance(param, numbers.Real) and 0.0 < param < 1.0):
+            raise BadParam(f"trunc-geometric needs a ratio in (0, 1), got {param!r}")
         mass = param ** np.arange(k, dtype=float)
         mass /= _fsum(mass)
     elif name == LINEAR_DECREASING:

@@ -38,7 +38,6 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -145,8 +144,11 @@ class HypercubeSpec:
             _check_int(name, getattr(self, name), 1, None)
         if not isinstance(self.epsilon, numbers.Real):
             raise BadParam(f"epsilon must be a real number, got {self.epsilon!r}")
-        bits = tuple(int(b) for b in self.theta)
-        if len(bits) != self.r or any(b not in (0, 1) for b in bits):
+        try:
+            bits = tuple(int(b) for b in self.theta)
+        except (TypeError, ValueError):
+            bits = None
+        if bits is None or len(bits) != self.r or any(b not in (0, 1) for b in bits):
             raise BadParam(f"theta must be a vector of {self.r} bits")
         object.__setattr__(self, "theta", bits)
         eps = float(self.epsilon)
@@ -179,39 +181,43 @@ def assouad_default_params(regime: Regime, n: int, k: int) -> tuple[int, float]:
     """The tuned (r, epsilon) for a regime at sample size n, support size k.
 
     Raises OutOfRegime when (n, k) falls outside the regime's validity
-    range.  Within each range, epsilon balances per-bin detectability
+    range, or when n or k is past the float range the tuned formulas are
+    evaluated in.  Within each range, epsilon balances per-bin detectability
     against total separation; where a window of admissible r exists, the
     smallest integer in it is returned.
     """
     regime = Regime(regime)
     _check_int("n", n, 1, None)
     _check_int("k", k, 1, None)
-    if regime == Regime.MONOTONE_LARGE_K:
-        n3 = n ** (1.0 / 3.0)
-        # the upper limit k <= n^{1/3} e^n is compared in log space so that
-        # astronomically large thresholds cannot overflow
-        if k < math.e**8 * n3 or math.log(k) > math.log(n) / 3.0 + n:
-            raise OutOfRegime("needs e^8 n^{1/3} <= k <= n^{1/3} e^n")
-        logratio = math.log(k / n3)
-        eps = 0.25 * (logratio / n) ** (1.0 / 3.0)
-        r = math.ceil(0.25 * (n * logratio**2) ** (1.0 / 3.0))
-    elif regime == Regime.MONOTONE_SMALL_K:
-        if k < 2 or k > math.e**8 * n ** (1.0 / 3.0):
-            raise OutOfRegime("needs 2 <= k <= e^8 n^{1/3}")
-        r = k // 2
-        eps = math.e**-12 * r * math.sqrt(k / n)
-    elif regime == Regime.CONVEX_LARGE_K:
-        n5 = n ** (1.0 / 5.0)
-        if k < math.e**40 * n5 or math.log(k) > math.log(n) / 5.0 + n:
-            raise OutOfRegime("needs e^40 n^{1/5} <= k <= n^{1/5} e^n")
-        logratio = math.log(k / n5)
-        eps = 0.5 * (logratio / n) ** (1.0 / 5.0)
-        r = math.ceil(n5 * logratio ** (4.0 / 5.0) / 18.0)
-    else:
-        if k < 3 or k > math.e**40 * n ** (1.0 / 5.0):
-            raise OutOfRegime("needs 3 <= k <= e^40 n^{1/5}")
-        r = k // 3
-        eps = math.e**-100 * r**2 * math.sqrt(k / n)
+    try:
+        if regime == Regime.MONOTONE_LARGE_K:
+            n3 = n ** (1.0 / 3.0)
+            # the upper limit k <= n^{1/3} e^n is compared in log space so that
+            # astronomically large thresholds cannot overflow
+            if k < math.e**8 * n3 or math.log(k) > math.log(n) / 3.0 + n:
+                raise OutOfRegime("needs e^8 n^{1/3} <= k <= n^{1/3} e^n")
+            logratio = math.log(k / n3)
+            eps = 0.25 * (logratio / n) ** (1.0 / 3.0)
+            r = math.ceil(0.25 * (n * logratio**2) ** (1.0 / 3.0))
+        elif regime == Regime.MONOTONE_SMALL_K:
+            if k < 2 or k > math.e**8 * n ** (1.0 / 3.0):
+                raise OutOfRegime("needs 2 <= k <= e^8 n^{1/3}")
+            r = k // 2
+            eps = math.e**-12 * r * math.sqrt(k / n)
+        elif regime == Regime.CONVEX_LARGE_K:
+            n5 = n ** (1.0 / 5.0)
+            if k < math.e**40 * n5 or math.log(k) > math.log(n) / 5.0 + n:
+                raise OutOfRegime("needs e^40 n^{1/5} <= k <= n^{1/5} e^n")
+            logratio = math.log(k / n5)
+            eps = 0.5 * (logratio / n) ** (1.0 / 5.0)
+            r = math.ceil(n5 * logratio ** (4.0 / 5.0) / 18.0)
+        else:
+            if k < 3 or k > math.e**40 * n ** (1.0 / 5.0):
+                raise OutOfRegime("needs 3 <= k <= e^40 n^{1/5}")
+            r = k // 3
+            eps = math.e**-100 * r**2 * math.sqrt(k / n)
+    except OverflowError:
+        raise OutOfRegime(f"n or k is past the float range of {regime.value}") from None
     return r, eps
 
 
@@ -376,7 +382,6 @@ def _grid_at_scale(
     return at
 
 
-@lru_cache(maxsize=64)
 def _convex_scale(
     regime: Regime, bin_lengths: tuple[int, ...], k: int, eps: float
 ) -> tuple[float, int]:

@@ -104,7 +104,10 @@ def assouad_lower_bound(r: int, alpha: float, beta: float, n: int) -> float:
     if not 0.0 < beta <= 1.0:
         raise BadParams(f"need beta in (0, 1], got {beta}")
     _check_int("n", n, 1, None, BadParams)
-    return max(0.0, (r * alpha / 4.0) * (1.0 - math.sqrt(2.0 * n * (1.0 - beta))))
+    try:
+        return max(0.0, (r * alpha / 4.0) * (1.0 - math.sqrt(2.0 * n * (1.0 - beta))))
+    except OverflowError:
+        raise BadParams("r or n is past the float range of the bound") from None
 
 
 class RateBranch(str, Enum):
@@ -127,14 +130,18 @@ class RateRegime:
 def _rate(shape_class: str, n: int, k: int, root: int, log_base: float, mid_exp: float) -> RateRegime:
     _check_int("n", n, 1, None, BadParams)
     _check_int("k", k, 2, None, BadParams)
-    pivot = n ** (1.0 / root)
-    if k <= log_base * pivot:
-        return RateRegime(shape_class, n, k, RateBranch.SMALL_K, math.sqrt(k / n))
-    # upper threshold k >= pivot * base^n, compared in log space: base^n overflows
-    # floats long before the comparison stops being meaningful.
-    if math.log(k) >= math.log(pivot) + n * math.log(log_base):
-        return RateRegime(shape_class, n, k, RateBranch.LARGE_K, 1.0)
-    logratio = math.log(k / pivot) / math.log(log_base)
+    # only the large-k branch reads an n or k past the float range
+    try:
+        pivot = n ** (1.0 / root)
+        if k <= log_base * pivot:
+            return RateRegime(shape_class, n, k, RateBranch.SMALL_K, math.sqrt(k / n))
+        # upper threshold k >= pivot * base^n, compared in log space: base^n
+        # overflows floats long before the comparison stops being meaningful.
+        if math.log(k) >= math.log(pivot) + n * math.log(log_base):
+            return RateRegime(shape_class, n, k, RateBranch.LARGE_K, 1.0)
+        logratio = math.log(k / pivot) / math.log(log_base)
+    except OverflowError:
+        raise BadParams(f"n or k is past the float range of the {shape_class} rate") from None
     return RateRegime(shape_class, n, k, RateBranch.MID_K, (logratio / n) ** mid_exp)
 
 

@@ -281,6 +281,7 @@ class PiecewiseEstimate:
     intercepts: tuple
 
     def __init__(self, domain_k: int, pieces):
+        _check_int("domain_k", domain_k, 1)
         pieces = tuple(pieces)
         if not pieces:
             raise BadParam("an estimate needs at least one piece")
@@ -307,7 +308,11 @@ class PiecewiseEstimate:
     @classmethod
     def from_atom_values(cls, domain_k: int, values) -> PiecewiseEstimate:
         """One constant piece per atom, with value float(values[x - 1])."""
-        values = tuple(map(float, np.asarray(values).tolist()))
+        _check_int("domain_k", domain_k, 1)
+        try:
+            values = tuple(map(float, np.asarray(values).tolist()))
+        except (TypeError, ValueError) as exc:
+            raise BadParam(f"atom values must be numbers: {exc}") from None
         m = len(values)
         if not m:
             raise BadParam("an estimate needs at least one piece")

@@ -56,6 +56,7 @@ class SampleCounts:
     counts: np.ndarray
 
     def __post_init__(self):
+        _check_int("k", self.k, 1)
         _check_int("n", self.n, 0, None)  # counts past 2**63 are kept exactly
         raw = np.asarray(self.counts)
         if raw.dtype.kind not in "biu":

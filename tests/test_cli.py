@@ -234,6 +234,35 @@ def test_size_past_the_array_range_is_one_line_error(capsys, argv):
     assert "must be an integer of at most" in err
 
 
+_PAST_FLOAT_RANGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--class", "monotone", "--n", _PAST_FLOAT_RANGE, "--k", "5"],
+        ["rates", "--class", "monotone", "--n", "2000", "--k", _PAST_FLOAT_RANGE],
+        ["assouad", "--regime", "convex-small-k", "--n", _PAST_FLOAT_RANGE, "--k", "9"],
+        ["assouad", "--regime", "monotone-large-k", "--n", "1000", "--k", _PAST_FLOAT_RANGE],
+        ["assouad", "--regime", "monotone-small-k", "--n", _PAST_FLOAT_RANGE, "--k", "4",
+         "--r", "2", "--epsilon", "0.1"],
+    ],
+)
+def test_n_or_k_past_the_float_range_is_one_line_error(capsys, argv):
+    # each ended in "OverflowError: int too large to convert to float"
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"treedens {argv[0]}: ") and err.count("\n") == 1
+
+
+def test_large_k_rate_reads_a_k_past_the_float_range(capsys):
+    # the large-k branch compares logs and never converts k to a float
+    argv = ["rates", "--class", "monotone", "--n", "5", "--k", _PAST_FLOAT_RANGE]
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0
+    assert out == f"class,n,k,branch,value\nmonotone,5,{_PAST_FLOAT_RANGE},large-k,1.0\n"
+
+
 @pytest.mark.parametrize(
     "message, argv",
     [

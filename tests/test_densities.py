@@ -160,6 +160,26 @@ def test_csv_roundtrip():
     assert f.to_csv().splitlines()[0] == "index,mass"
 
 
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (density_from_json, "{}"),  # was KeyError
+        (density_from_json, "x"),  # was JSONDecodeError
+        (density_from_csv, "index,mass\n1,a\n"),  # was ValueError
+        (density_from_csv, "index,mass\n1\n"),  # was IndexError
+    ],
+)
+def test_malformed_text_is_rejected(read, text):
+    with pytest.raises(BadParam):
+        read(text)
+
+
+def test_trunc_geometric_rejects_a_ratio_that_is_not_a_number():
+    # a str ratio was a bare TypeError from the range comparison
+    with pytest.raises(BadParam, match="ratio in"):
+        family("trunc-geometric", 5, "0.5")
+
+
 def test_mass_is_immutable():
     f = family("uniform", 3)
     with pytest.raises(ValueError):

@@ -262,6 +262,13 @@ def test_from_atom_values():
         assert str(flat.value) == str(checked.value)
 
 
+@pytest.mark.parametrize("values", [["a", "b"], [[1, 2]]])
+def test_from_atom_values_rejects_values_that_are_not_numbers(values):
+    # float() raised a bare ValueError or TypeError
+    with pytest.raises(BadParam, match="atom values must be numbers"):
+        PiecewiseEstimate.from_atom_values(2, values)
+
+
 # --- monotonize on input that is already non-increasing ---------------------
 
 

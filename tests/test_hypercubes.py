@@ -137,6 +137,11 @@ def test_bad_theta_rejected():
         HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, (0, 2))
     with pytest.raises(BadParam):
         HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, (0,))
+    # a bit string with a non-digit was a ValueError, and None a TypeError
+    with pytest.raises(BadParam):
+        HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, "0a")
+    with pytest.raises(BadParam):
+        HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, None)
 
 
 @pytest.mark.parametrize(
@@ -374,7 +379,7 @@ def test_convex_scale_memory_does_not_grow_with_k():
     # each bisection step once built a k-atom int64 grid and a k-int list
     tracemalloc.start()
     try:
-        _convex_scale.__wrapped__(Regime.CONVEX_SMALL_K, (3, 3, 3), 10**6, 0.5)
+        _convex_scale(Regime.CONVEX_SMALL_K, (3, 3, 3), 10**6, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,6 +16,7 @@ from treedens import (
     Piece,
     PiecewiseEstimate,
     Regime,
+    SampleCounts,
     assouad_default_params,
     assouad_lower_bound,
     build_idealized_binary,
@@ -29,7 +30,7 @@ from treedens import (
     sample,
     vc_unions_intervals_brute,
 )
-from treedens.densities import _MAX_SIZE, _check_int
+from treedens.densities import _MAX_SIZE, _check_int, density_from_json
 
 F = family("uniform", 4)
 SC = sample(F, 10, 0)
@@ -66,6 +67,10 @@ _GAPS = [
     ("DiscreteDensity k 2.0", lambda: DiscreteDensity(k=2.0, mass=[0.5, 0.5]), BadParam),
     ("Piece start 1.5", lambda: Piece(1.5, 1, "constant"), BadParam),
     ("estimate atom 2.5", lambda: EST(2.5), DomainMismatch),
+    ("SampleCounts k 3.0", lambda: SampleCounts(3.0, 3, np.array([1, 1, 1])), BadParam),
+    ("estimate domain_k 2.0", lambda: PiecewiseEstimate(2.0, [Piece(1, 2, "constant")]), BadParam),
+    ("atom values domain_k 2.0", lambda: PiecewiseEstimate.from_atom_values(2.0, [1, 0]), BadParam),
+    ("density JSON k 1.5", lambda: density_from_json('{"k": 1.5, "mass": [1.0]}'), BadParam),
 ]
 
 
