@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .densities import FAMILY_NAMES, family
+from .densities import FAMILY_NAMES, _check_int, family
 from .errors import BadParam, TreedensError
 from .hypercubes import (
     HypercubeSpec,
@@ -201,6 +201,8 @@ def _cmd_rates(args) -> dict:
 
 
 def _parse_theta(text: str, r: int) -> tuple:
+    if text in ("zeros", "ones"):
+        _check_int("r", r, 1)  # the r bits are built here, before the spec's checks
     if text == "zeros":
         return (0,) * r
     if text == "ones":

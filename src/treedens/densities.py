@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import numbers
@@ -27,9 +26,6 @@ from .errors import BadParam, DomainMismatch, NegativeMass, NotNormalized
 
 #: absolute tolerance on sum(mass) == 1 for validation.
 NORMALIZATION_TOL = 1e-9
-
-# atoms per tolist() chunk fed to math.fsum
-_FSUM_CHUNK = 1 << 16
 
 # the longest array of 8-byte items numpy can describe; past it numpy
 # raises ValueError rather than MemoryError
@@ -126,13 +122,15 @@ def _check_int(name: str, v, low, high=_MAX_SIZE, error=BadParam) -> None:
 
 
 def _fsum(a: np.ndarray) -> float:
-    """math.fsum of a float array, fed from bounded tolist() chunks.
+    """math.fsum of a 1-D array, read through its float64 buffer.
 
-    fsum is correctly rounded whatever the grouping of its input, so the
-    bits equal ``math.fsum(a.tolist())`` without a k-element list.
+    The memoryview hands fsum the same floats in the same order as
+    ``a.tolist()`` would, so the bits, and an OverflowError, are the same,
+    but no k-element list is built: one float lives at a time.  A strided
+    array is copied to a contiguous one first; an int or object array is
+    converted to float64 first, each item rounded as fsum rounds it.
     """
-    chunks = (a[i : i + _FSUM_CHUNK].tolist() for i in range(0, a.shape[0], _FSUM_CHUNK))
-    return math.fsum(itertools.chain.from_iterable(chunks))
+    return math.fsum(memoryview(np.ascontiguousarray(a, dtype=float)))
 
 
 def _sum_decides(s: float, k: int) -> bool:
@@ -193,8 +191,8 @@ def density_from_csv(text: str) -> DiscreteDensity:
     if rows and rows[0][:1] == ["index"]:
         rows = rows[1:]
     try:
-        pairs = sorted((int(r[0]), float(r[1])) for r in rows if r)
-    except (ValueError, IndexError) as exc:
+        pairs = sorted((int(i), float(v)) for i, v in filter(None, rows))
+    except ValueError as exc:  # a bad number, or a row of other than two fields
         raise BadParam(f"csv rows must be index,mass pairs of numbers: {exc}") from None
     if [i for i, _ in pairs] != list(range(1, len(pairs) + 1)):
         raise BadParam("csv rows must cover indices 1..k exactly once")

@@ -10,12 +10,13 @@ terrible estimates.
 The m candidates' comparison sets come from one (m, k) block of
 ``vals[i] > vals`` per candidate i, packed to bits and deduplicated by
 their bytes.  Extra memory is O(m k) for one block plus the distinct
-sets; the (m, m, k) tensor of all pairs is never built.
+sets; the (m, m, k) tensor of all pairs is never built.  The sets share
+one Python int per atom label, and the selector writes each set straight
+into its own row of a (d, k) 0/1 matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,12 +120,12 @@ def yatracos_class(cs: CandidateSet) -> list[frozenset[int]]:
     (i, j) order and each distinct set is kept at its first appearance, so
     the output order is deterministic.  Fewer than two candidates compare
     nothing: [].  Extra memory is O(m k) for one candidate's block of
-    comparisons plus the distinct sets, never the (m, m, k) tensor.
+    comparisons plus the distinct sets, never the (m, m, k) tensor.  The
+    k atom labels are made once as Python ints and shared by every set,
+    so no set allocates an int of its own.
     """
-    return [
-        frozenset((np.flatnonzero(row) + 1).tolist())
-        for row in _comparison_masks(cs.atom_values)
-    ]
+    labels = np.arange(1, cs.k + 1).astype(object)
+    return [frozenset(labels[row].tolist()) for row in _comparison_masks(cs.atom_values)]
 
 
 def minimum_distance_estimate(cs: CandidateSet, sc: SampleCounts) -> int:
@@ -141,12 +142,9 @@ def minimum_distance_estimate(cs: CandidateSet, sc: SampleCounts) -> int:
     sets = yatracos_class(cs)
     if not sets:
         return 0
-    k = cs.k
-    sizes = [len(s) for s in sets]
-    rows = np.repeat(np.arange(len(sets)), sizes)
-    cols = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=len(rows))
-    masks = np.zeros((len(sets), k))
-    masks[rows, cols - 1] = 1.0
+    masks = np.zeros((len(sets), cs.k))  # one C-contiguous row per set
+    for row, s in zip(masks, sets):
+        row[np.fromiter(s, np.intp, len(s)) - 1] = 1.0
     emp = masks @ sc.frequencies()
     cand = masks @ cs.atom_values.T  # (num_sets, num_candidates)
     scores = np.abs(cand - emp[:, None]).max(axis=0)

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import fsum
 
 import numpy as np
 
-from .densities import DiscreteDensity, _check_int
+from .densities import DiscreteDensity, _check_int, _fsum
 from .errors import BadParam, BadParams, DomainMismatch, TooLarge
 from .partition_trees import PiecewiseEstimate
 
@@ -88,19 +87,20 @@ def tv_sup_bruteforce(f, g) -> float:
 def hellinger_affinity(f, g) -> float:
     """Sum over atoms of sqrt(f(x) g(x)), in [0, 1] for probability vectors."""
     a, b = _atom_pair(f, g)
-    return fsum(np.sqrt(a * b).tolist())
+    return _fsum(np.sqrt(a * b))
 
 
 def assouad_lower_bound(r: int, alpha: float, beta: float, n: int) -> float:
     """Two-point minimax risk bound (r alpha / 4)(1 - sqrt(2 n (1 - beta))).
 
     r is the number of independent coordinates, alpha the per-coordinate
-    separation, beta the single-flip affinity floor, n the sample size.
-    Clamped at zero: a vacuous bound is reported as 0 rather than negative.
+    separation, a TV distance and so at most 1, beta the single-flip
+    affinity floor, n the sample size.  Clamped at zero: a vacuous bound is
+    reported as 0 rather than negative.
     """
     _check_int("r", r, 1, None, BadParams)
-    if not alpha > 0.0:
-        raise BadParams(f"need alpha > 0, got {alpha}")
+    if not 0.0 < alpha <= 1.0:
+        raise BadParams(f"need alpha in (0, 1], got {alpha}")
     if not 0.0 < beta <= 1.0:
         raise BadParams(f"need beta in (0, 1], got {beta}")
     _check_int("n", n, 1, None, BadParams)

@@ -42,6 +42,7 @@ from .densities import (
     DiscreteDensity,
     _atom_csv,
     _check_int,
+    _fsum,
     is_convex_non_increasing,
     is_non_increasing,
 )
@@ -355,7 +356,7 @@ class PiecewiseEstimate:
         return self.values[i]
 
     def total_mass(self) -> float:
-        return math.fsum(self.atom_values().tolist())
+        return _fsum(self.atom_values())
 
     def to_json(self) -> str:
         out = []

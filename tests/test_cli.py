@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -6,8 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treedens import FAMILY_NAMES, Regime
 from treedens.cli import run
+from treedens.risk_lab import ESTIMATORS
 
 DATA = Path(__file__).parent / "data"
 
@@ -223,6 +229,9 @@ _PAST_FLOATS = str(10**30)
          "--r", "30", "--epsilon", "0.5"],
         ["assouad", "--regime", "convex-large-k", "--n", "100", "--k", _PAST_FLOATS,
          "--r", "70", "--epsilon", "0.5"],
+        # the "zeros" theta was expanded to r bits first: an OverflowError
+        ["assouad", "--regime", "monotone-large-k", "--n", "100", "--k", "10",
+         "--r", str(2**63), "--epsilon", "0.1"],
     ],
 )
 def test_size_past_the_array_range_is_one_line_error(capsys, argv):
@@ -427,3 +436,109 @@ def test_stdout_bytes_unchanged(capsys, case):
     assert run(case["argv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+# --- a bounded fuzz over all six subcommands ------------------------------------
+
+# sizes past the array range, past the float range, zero, negative and not
+# integers at all; every one must be rejected before it allocates anything
+_BAD_INTS = ("0", "-1", "-7", str(2**63), str(10**20), str(10**400), "x", "1.5", "", "nan")
+_FLOATS = (
+    "nan", "inf", "-inf", "-0.0", "0", "0.3", "0.5", "0.999", "1", "2", "1e-300", "1e308", "x",
+)
+
+
+def _mostly(valid, bad):
+    """valid four times in five, bad the fifth."""
+    return st.integers(0, 4).flatmap(lambda i: valid if i else bad)
+
+
+def _int(low, high):
+    return _mostly(st.integers(low, high).map(str), st.sampled_from(_BAD_INTS))
+
+
+def _pick(*names):
+    return _mostly(st.sampled_from(names), st.just("bogus"))
+
+
+_SIZE = _int(1, 10**4)
+_SEED = _mostly(st.integers(0, 10**6).map(str), st.sampled_from(("-5", str(2**64), "x")))
+_CANDIDATE = _mostly(
+    st.one_of(
+        st.sampled_from(FAMILY_NAMES),
+        st.sampled_from(("0.1", "0.5", "0.99")).map("trunc-geometric:{}".format),
+    ),
+    st.one_of(
+        st.sampled_from(("bogus", "", " ", ":", "uniform:")),
+        st.builds("{}:{}".format, st.sampled_from(FAMILY_NAMES), st.sampled_from(_FLOATS)),
+    ),
+)
+_GRID = _mostly(
+    st.lists(_SIZE, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(("", ",", "1,,2", "x,10")),
+)
+
+
+@st.composite
+def _argv(draw):
+    """Random argvs of every subcommand.  A required option is left out one
+    time in sixteen, so some usage errors are drawn as well."""
+    cmd = draw(st.sampled_from(("estimate", "simulate", "rates", "assouad", "vc", "mde")))
+    opts = []
+
+    def opt(flag, values, odds=15):
+        if draw(st.integers(0, 15)) < odds:
+            opts.extend((flag, draw(values)))
+
+    if cmd in ("estimate", "simulate", "mde"):
+        opt("--family", _pick(*FAMILY_NAMES))
+        opt("--k", _SIZE)
+        opt("--seed", _SEED, 4)
+    if cmd == "estimate":
+        opt("--n", _SIZE)
+        opt("--estimator", _pick(*ESTIMATORS))
+        opt("--param", st.sampled_from(_FLOATS), 4)
+    elif cmd == "simulate":
+        opt(*draw(st.sampled_from((("--n", _SIZE), ("--n-grid", _GRID)))))
+        opt("--estimator", _pick(*ESTIMATORS))
+        opt("--reps", _int(1, 3))
+        opt("--threads", st.sampled_from(("1", "2", "0", "-1", "x")), 4)
+    elif cmd == "rates":
+        opt("--class", _pick("monotone", "convex"))
+        opt("--n", _SIZE)
+        opt("--k", _SIZE)
+    elif cmd == "assouad":
+        opt("--regime", _pick(*(r.value for r in Regime)))
+        opt("--n", _SIZE)
+        opt("--k", _SIZE)
+        if draw(st.booleans()):
+            opt("--r", _int(1, 40))
+            opt("--epsilon", st.sampled_from(_FLOATS))
+        opt("--theta", st.one_of(st.sampled_from(("zeros", "ones", "", "012")), st.text("01")), 4)
+    elif cmd == "vc":
+        opt("--ell", _int(1, 5))
+        opt("--m", _mostly(st.integers(1, 10).map(str), st.sampled_from(("25", *_BAD_INTS))))
+    else:
+        opt("--candidates", st.lists(_CANDIDATE, max_size=4).map(",".join))
+        opt("--n", _SIZE)
+    opt("--format", _pick("csv", "json"), 8)
+    return [cmd, *opts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_random_argvs_end_in_one_of_three_ways(argv):
+    # exit 0; exit 2 from argparse; or exit 1 with exactly one stderr line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith(f"treedens {argv[0]}: "), argv
+        assert err.getvalue().count("\n") == 1, argv
+    else:
+        assert (code, err.getvalue()) == (0, ""), argv

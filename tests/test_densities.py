@@ -167,6 +167,7 @@ def test_csv_roundtrip():
         (density_from_json, "x"),  # was JSONDecodeError
         (density_from_csv, "index,mass\n1,a\n"),  # was ValueError
         (density_from_csv, "index,mass\n1\n"),  # was IndexError
+        (density_from_csv, "index,mass\n1,0.5,9\n2,0.5\n"),  # the 9 was dropped
     ],
 )
 def test_malformed_text_is_rejected(read, text):
@@ -276,6 +277,45 @@ def test_sum_shortcut_margin_grows_with_k(monkeypatch):
     assert calls == [1, 2]
 
 
+_fsum_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 8.98846567431158e307]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(_fsum_floats, max_size=40),
+    start=st.integers(0, 3),
+    step=st.sampled_from([1, 1, 2, 3, -1]),
+)
+def test_fsum_is_math_fsum_of_the_list(values, start, step):
+    # the same bits as fsum of the list, or the same OverflowError, on
+    # contiguous, strided and reversed slices (empty ones included)
+    a = np.array(values, dtype=float)[start::step]
+    try:
+        want = math.fsum(a.tolist())
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            densities._fsum(a)
+        return
+    got = densities._fsum(a)
+    assert type(got) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_fsum_rounds_int_and_object_items_as_fsum_does():
+    # estimates keep int and Fraction piece values, so total_mass sums such arrays
+    for a in (
+        np.array([2**53 + 1, 1, -3]),
+        np.array([Fraction(1, 3), Fraction(2, 3), Fraction(10**400, 10**399)], dtype=object),
+    ):
+        assert densities._fsum(a) == math.fsum(a.tolist())
+    with pytest.raises(OverflowError):
+        densities._fsum(np.array([10**400], dtype=object))
+
+
 # --- family bits and memory ----------------------------------------------------
 
 
@@ -296,7 +336,7 @@ def test_family_peak_memory_stays_near_the_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the mass, one working array and one 64 Ki-atom list chunk
+    # the mass and one working array; fsum reads the array's own buffer
     assert peak <= 3 * f.mass.nbytes
 
 

@@ -100,6 +100,15 @@ def test_assouad_lower_bound_validation():
         assouad_lower_bound(1, 0.1, 0.9, 0)
 
 
+def test_assouad_lower_bound_rejects_alpha_past_one():
+    # alpha is a TV separation, at most 1; a larger one gave inf here
+    with pytest.raises(BadParams, match="alpha"):
+        assouad_lower_bound(10**300, 1e10, 1.0, 1)
+    with pytest.raises(BadParams, match="alpha"):
+        assouad_lower_bound(1, math.nextafter(1.0, 2.0), 0.9, 10)
+    assert assouad_lower_bound(4, 1.0, 1.0, 1) == 1.0
+
+
 def test_rate_monotone_small_branch():
     reg = rate_monotone(10**6, 2)
     assert reg.branch == RateBranch.SMALL_K
