@@ -200,13 +200,12 @@ def _cmd_rates(args) -> dict:
     }
 
 
-def _parse_theta(text: str, r: int) -> tuple:
+def _parse_theta(text: str, r: int, k: int) -> tuple:
     if text in ("zeros", "ones"):
-        _check_int("r", r, 1)  # the r bits are built here, before the spec's checks
-    if text == "zeros":
-        return (0,) * r
-    if text == "ones":
-        return (1,) * r
+        _check_int("r", r, 1)
+        # every regime's bins are at least 2 atoms wide, so an r > k never
+        # fits, and the spec rejects it before it reads these min(r, k) bits
+        return (0 if text == "zeros" else 1,) * min(r, k)
     if not text or set(text) - {"0", "1"}:
         raise TreedensError(f'--theta must be bits or "zeros"/"ones", got {text!r}')
     return tuple(int(c) for c in text)
@@ -220,13 +219,16 @@ def _cmd_assouad(args) -> str | dict:
         r, eps = assouad_default_params(regime, args.n, args.k)
     else:
         r, eps = args.r, args.epsilon
-    theta = _parse_theta(args.theta, r)
+    # the bound reads n as a float: checked in both formats, though CSV skips the bound
+    if args.n > sys.float_info.max:
+        raise BadParam("n is past the float range of the bound")
+    theta = _parse_theta(args.theta, r, args.k)
     spec = HypercubeSpec(regime, args.n, args.k, r, eps, theta)
     f = assouad_density(spec)
-    alpha, beta = assouad_alpha_beta(spec)
-    bound = assouad_lower_bound(r, alpha, beta, args.n)
     if args.format == "csv":
         return f.to_csv()
+    alpha, beta = assouad_alpha_beta(spec)
+    bound = assouad_lower_bound(r, alpha, beta, args.n)
     return {
         "regime": regime.value,
         "n": args.n,

@@ -122,12 +122,13 @@ class HypercubeSpec:
     n is the sample size the family is tuned against; it does not affect
     the construction itself, only default parameter choices and the value
     of the resulting bound.  Validation checks that n, k and r are
-    integers and epsilon a real number, the regime's epsilon range, the bit
-    vector, and that the r bins fit inside {1, ..., k}; the bin layout is
-    frozen into ``bin_lengths``.  The fit is checked against the
-    shortest possible bins (2 or 3 atoms each) before any bin is built, and
-    the growing large-k layouts stop as soon as their running total
-    passes k, so an infeasible r builds at most about k/2 bins.
+    integers and epsilon a real number, the regime's epsilon range, that
+    the r bins fit inside {1, ..., k}, and the bit vector; the bin layout
+    is frozen into ``bin_lengths``.  The fit is checked against the
+    shortest possible bins (2 or 3 atoms each) before theta is read or any
+    bin is built, so a huge r fails in O(1), and the growing large-k
+    layouts stop as soon as their running total passes k, so an infeasible
+    r builds at most about k/2 bins.
     """
 
     regime: Regime
@@ -144,13 +145,6 @@ class HypercubeSpec:
             _check_int(name, getattr(self, name), 1, None)
         if not isinstance(self.epsilon, numbers.Real):
             raise BadParam(f"epsilon must be a real number, got {self.epsilon!r}")
-        try:
-            bits = tuple(int(b) for b in self.theta)
-        except (TypeError, ValueError):
-            bits = None
-        if bits is None or len(bits) != self.r or any(b not in (0, 1) for b in bits):
-            raise BadParam(f"theta must be a vector of {self.r} bits")
-        object.__setattr__(self, "theta", bits)
         eps = float(self.epsilon)
         try:
             in_range, accepted, width, layout = _REGIMES[Regime(self.regime)]
@@ -159,6 +153,15 @@ class HypercubeSpec:
         if not in_range(eps):
             raise InfeasibleSpec(f"epsilon must lie in {accepted}")
         self._fits(width * self.r, at_least=layout is not None)
+        try:
+            bits = tuple(self.theta)
+        except TypeError:
+            bits = ()
+        if len(bits) != self.r:
+            raise BadParam(f"theta must be a vector of {self.r} bits")
+        for b in bits:
+            _check_int("theta bit", b, 0, 1)
+        object.__setattr__(self, "theta", tuple(map(int, bits)))
         lengths = (width,) * self.r if layout is None else layout(self.r, eps, self.k)
         self._fits(sum(lengths))
         object.__setattr__(self, "bin_lengths", lengths)

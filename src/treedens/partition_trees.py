@@ -7,7 +7,9 @@ single atom is a leaf, and any other node splits into equal consecutive
 halves (arity 2) or thirds (arity 3) when a rule over its children's
 totals fires.  The greedy trees total the sample counts, and their rules
 run in exact Python ints, also past the int64 range; the idealized trees
-total the true masses and are deterministic in them.  A built tree keeps
+total the true masses and are deterministic in them.  Each build, and each
+leaf walk below, reads every edge from one running-totals array over the
+padded domain, held at the full total past atom k.  A built tree keeps
 only its leaves, as (start, length) spans in left-to-right order.
 
 The estimates are piecewise functions over the leaf intervals, truncated
@@ -126,56 +128,49 @@ def greedy_ternary_split_decision(n_left: int, n_mid: int, n_right: int) -> bool
     return d > 0 and d * d > n_left + n_mid + n_right
 
 
-def _prefix(values: np.ndarray):
-    """The running totals of values from a leading 0, read as Python
-    scalars: a memoryview of the cumulative array, so reading one costs no
-    ndarray method call and no k-element list is made."""
-    cum = np.zeros(values.size + 1, values.dtype)
-    values.cumsum(out=cum[1:])
-    return memoryview(cum)
+def _totals(values: np.ndarray, total, padded_k: int):
+    """The values' running totals from a leading 0 through padded_k, held
+    at the last total from atom k on; total is their sum, n or 1.  Below
+    2**63, a memoryview of the cumulative array, so a read costs no ndarray
+    method call; from there on Python ints, as int64 would wrap."""
+    k = values.size
+    if total < 2**63:
+        cum = np.zeros(padded_k + 1, values.dtype)
+        values.cumsum(out=cum[1 : k + 1])
+        if padded_k > k:
+            cum[k + 1 :] = cum[k]
+        return memoryview(cum)
+    cum = list(accumulate(values.tolist(), initial=0))
+    return cum + cum[-1:] * (padded_k - k)
 
 
-def _count_prefix(sc: SampleCounts):
-    """_prefix of the counts.  The running totals never exceed n, so they
-    fit int64 below n = 2**63; from there on they are Python ints, as the
-    int64 cumulative array would wrap."""
-    if sc.n < 2**63:
-        return _prefix(sc.counts)
-    return list(accumulate(sc.counts.tolist(), initial=0))
-
-
-def _build_tree(arity: int, k: int, at, rule) -> PartitionTree:
-    """The tree over the padded domain of k values in which a node splits
+def _build_tree(arity: int, values: np.ndarray, total, rule) -> PartitionTree:
+    """The tree over the padded domain of the values in which a node splits
     when rule(*totals) holds, totals being its children's sums of values.
 
-    at is the values' running totals (_prefix).  Each node reads its
-    arity + 1 edges of it once, an edge past the last atom reading the
-    full total.  The walk is depth-first over an explicit stack, so deep
-    trees cannot hit recursion limits; children are pushed right to left,
-    so leaves come off the stack in left-to-right order.
+    Each node reads its arity + 1 edges of the running totals (_totals)
+    once.  The walk is depth-first over an explicit stack, so deep trees
+    cannot hit recursion limits; children are pushed right to left, so
+    leaves come off the stack in left-to-right order.
     """
-    padded_k = pad_to_power(k, arity)
+    padded_k = pad_to_power(values.size, arity)
+    at = _totals(values, total, padded_k)
     spans: list[tuple[int, int]] = []
     stack = [(1, padded_k)]
     while stack:
         start, length = stack.pop()
         if length > 1:
             child = length // arity
-            e0 = start - 1
-            e1 = e0 + child
+            e1 = start - 1 + child
             e2 = e1 + child
-            c0 = at[e0 if e0 < k else k]
-            c1 = at[e1 if e1 < k else k]
-            c2 = at[e2 if e2 < k else k]
+            c0, c1, c2 = at[start - 1], at[e1], at[e2]
             if arity == 2:
                 if rule(c1 - c0, c2 - c1):
                     stack += ((e1 + 1, child), (start, child))
                     continue
-            else:
-                e3 = e2 + child
-                if rule(c1 - c0, c2 - c1, at[e3 if e3 < k else k] - c2):
-                    stack += ((e2 + 1, child), (e1 + 1, child), (start, child))
-                    continue
+            elif rule(c1 - c0, c2 - c1, at[e2 + child] - c2):
+                stack += ((e2 + 1, child), (e1 + 1, child), (start, child))
+                continue
         spans.append((start, length))
     return PartitionTree(arity=arity, padded_k=padded_k, spans=tuple(spans))
 
@@ -185,7 +180,7 @@ def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
     by more than a standard deviation's worth."""
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    return _build_tree(2, sc.k, _count_prefix(sc), greedy_split_decision)
+    return _build_tree(2, sc.counts, sc.n, greedy_split_decision)
 
 
 def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
@@ -194,16 +189,14 @@ def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
     _check_int("n", n, 1, None)
     if not is_non_increasing(f):
         raise NotMonotone("the idealized binary tree needs a non-increasing density")
-    return _build_tree(
-        2, f.k, _prefix(f.mass), lambda fv, fw: fv - fw > math.sqrt((fv + fw) / n)
-    )
+    return _build_tree(2, f.mass, 1, lambda fv, fw: fv - fw > math.sqrt((fv + fw) / n))
 
 
 def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
     """Sample-driven ternary tree splitting on the thirds' count curvature."""
     if sc.n < 1:
         raise BadParam("need at least one sample")
-    return _build_tree(3, sc.k, _count_prefix(sc), greedy_ternary_split_decision)
+    return _build_tree(3, sc.counts, sc.n, greedy_ternary_split_decision)
 
 
 def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
@@ -214,8 +207,8 @@ def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
         raise NotConvex("the idealized ternary tree needs a convex non-increasing density")
     return _build_tree(
         3,
-        f.k,
-        _prefix(f.mass),
+        f.mass,
+        1,
         lambda fv, fw, fr: fv - 2.0 * fw + fr > math.sqrt((fv + fw + fr) / n),
     )
 
@@ -405,23 +398,25 @@ def _clamped_row(start: int, length: int, slope: float, intercept: float) -> tup
     return _linear_row(start, length, slope, intercept)
 
 
-def _leaf_walk(t: PartitionTree, k: int, values: np.ndarray, at, scale: int, line):
+def _leaf_walk(t: PartitionTree, values: np.ndarray, scale: int, line):
     """The estimate over t's leaves of the k per-atom values, cut back to 1..k.
 
     values are sample counts (an integer array, scale n) or masses (a float
-    array, scale 1), and at is their running totals (_prefix).  A singleton
-    leaf gets its atom's value / scale, so an idealized one copies f bit
-    for bit where a difference of cumulative float sums would round twice.
-    With line None, a wider leaf is constant at its total / (scale * width),
-    spread over its full padded width.  Otherwise it gets the line through
-    its outer thirds' (midpoint, total / (scale * third)) points, whose
-    midpoints sit 2*third apart, and line(start, length, slope, intercept)
-    gives its rows.  A row starting past k is dropped and the last one is
-    shortened to end at k.
+    array, scale 1); the leaves read their running totals (_totals).  A
+    singleton leaf gets its atom's value / scale, so an idealized one
+    copies f bit for bit where a difference of cumulative float sums would
+    round twice.  With line None, a wider leaf is constant at its total /
+    (scale * width), spread over its full padded width.  Otherwise it gets
+    the line through its outer thirds' (midpoint, total / (scale * third))
+    points, whose midpoints sit 2*third apart, and line(start, length,
+    slope, intercept) gives its rows.  A row starting past k is dropped and
+    the last one is shortened to end at k.
 
-    The checks come in the order tree domain, arity, sample size; scale
-    is n only for counts, so the last check passes for masses.
+    The checks come in the order tree domain, arity, sample size, all
+    before the totals are built; scale is n only for counts, so the last
+    check passes for masses.
     """
+    k = values.size
     if pad_to_power(k, t.arity) != t.padded_k:
         what = "counts" if values.dtype.kind in "iu" else "density"
         raise DomainMismatch(
@@ -431,6 +426,7 @@ def _leaf_walk(t: PartitionTree, k: int, values: np.ndarray, at, scale: int, lin
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
     if scale < 1:
         raise BadParam("need at least one sample")
+    at = _totals(values, scale, t.padded_k)
     atom = memoryview(values)
     flat = []
     for start, length in t.spans:
@@ -439,18 +435,15 @@ def _leaf_walk(t: PartitionTree, k: int, values: np.ndarray, at, scale: int, lin
         if length == 1:
             flat += _constant_row(start, 1, atom[start - 1] / scale)
         elif line is None:
-            end = start - 1 + length
-            total = at[end if end < k else k] - at[start - 1]
+            total = at[start - 1 + length] - at[start - 1]
             flat += _constant_row(start, length, total / (scale * length))
         else:
             third = length // 3
             e1 = start - 1 + third
             e2 = e1 + third
-            e3 = e2 + third
-            left = at[e1 if e1 < k else k] - at[start - 1]
-            right = at[e3 if e3 < k else k] - at[e2 if e2 < k else k]
-            avg_left = left / (scale * third)
-            slope = (right / (scale * third) - avg_left) / (2.0 * third)
+            avg_left = (at[e1] - at[start - 1]) / (scale * third)
+            avg_right = (at[e2 + third] - at[e2]) / (scale * third)
+            slope = (avg_right - avg_left) / (2.0 * third)
             intercept = avg_left - slope * (start + (third - 1) / 2.0)
             flat += line(start, length, slope, intercept)
     while flat[-6] > k:
@@ -479,7 +472,7 @@ def histogram_estimate(
 ) -> PiecewiseEstimate:
     """Leaf-interval histogram: each leaf gets its count spread uniformly
     over the leaf's full padded width."""
-    est = _leaf_walk(t, sc.k, sc.counts, _count_prefix(sc), sc.n, None)
+    est = _leaf_walk(t, sc.counts, sc.n, None)
     return _scaled(est, renormalize)
 
 
@@ -487,7 +480,7 @@ def idealized_pc_estimate(
     t: PartitionTree, f: DiscreteDensity, renormalize: bool = False
 ) -> PiecewiseEstimate:
     """Piecewise-constant projection of f itself onto the leaf partition."""
-    est = _leaf_walk(t, f.k, f.mass, _prefix(f.mass), 1, None)
+    est = _leaf_walk(t, f.mass, 1, None)
     return _scaled(est, renormalize)
 
 
@@ -498,7 +491,7 @@ def idealized_pl_estimate(
     singleton leaves copy f exactly.  Values are not clamped, and the
     fitted lines need not preserve mass, so the estimate's total can
     differ from 1 even before truncation."""
-    est = _leaf_walk(t, f.k, f.mass, _prefix(f.mass), 1, _linear_row)
+    est = _leaf_walk(t, f.mass, 1, _linear_row)
     return _scaled(est, renormalize)
 
 
@@ -509,7 +502,7 @@ def greedy_pl_estimate(
     clamped to zero: unlike the idealized averages, empirical thirds can
     slope either way.  As in idealized_pl_estimate, the fitted lines need
     not preserve mass."""
-    est = _leaf_walk(t, sc.k, sc.counts, _count_prefix(sc), sc.n, _clamped_row)
+    est = _leaf_walk(t, sc.counts, sc.n, _clamped_row)
     return _scaled(est, renormalize)
 
 

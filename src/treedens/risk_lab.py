@@ -8,7 +8,8 @@ fit_estimate, mc_risk and the CLI's --estimator choices all read it.
 mc_risk averages TV(estimate, truth) over independently seeded
 replications and is bit-deterministic for a fixed master seed no matter
 how many worker threads run them; a count-free estimator is fit once and
-draws no samples.
+draws no samples.  Its worker threads come from one pool kept for the
+life of the process (see _worker_pool).
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from math import fsum
 
@@ -158,6 +161,26 @@ def _resolve(estimator) -> tuple:
     return str(name), ESTIMATORS[name], fit if count_free else None
 
 
+_pool: tuple = (None, None)  # (pid, executor)
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The executor of every threaded mc_risk call, kept between calls.
+
+    Fresh threads for every call would make glibc give some of them new
+    malloc arenas, ~9 MB each, so peak memory would vary from run to run
+    of the same calls; kept threads keep their arenas.  A call submits at
+    most `threads` tasks, so the cap never binds.  A forked child makes
+    its own pool.
+    """
+    global _pool
+    pid, pool = _pool
+    if pid != os.getpid():
+        pool = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="mc_risk")
+        _pool = (os.getpid(), pool)
+    return pool
+
+
 @dataclass(frozen=True)
 class RiskReport:
     """Monte Carlo estimate of expected TV error with replication metadata."""
@@ -196,9 +219,11 @@ def mc_risk(
     """Mean and standard error of TV(estimate, f) over seeded replications.
 
     Replication i draws its sample with derive_seed(master_seed, i), so the
-    replication set is fixed by master_seed alone.  Results land in a slot
-    per replication and are summed in index order afterward, which keeps
-    mean_tv bit-identical across thread counts and scheduling orders.
+    replication set is fixed by master_seed alone.  With threads > 1, worker
+    w of min(threads, reps) runs replications w, w + threads, ...; results
+    land in a slot per replication and are summed in index order afterward,
+    which keeps mean_tv bit-identical across thread counts and scheduling
+    orders.  Every worker is done before the call returns or raises.
     The registry's count-free estimators (oracle and the idealized ones)
     are fit once and their loss is repeated reps times, with no sample
     drawn; a custom callable always runs per replication.
@@ -218,12 +243,18 @@ def mc_risk(
             sc = sample(f, n, derive_seed(master_seed, i))
             losses[i] = tv(f.mass, fn(f, sc))
 
-        if threads == 1:
-            for i in range(reps):
+        def stride(first: int) -> None:
+            for i in range(first, reps, threads):
                 one(i)
+
+        if threads == 1:
+            stride(0)
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(one, range(reps)))
+            pool = _worker_pool()
+            done = [pool.submit(stride, w) for w in range(min(threads, reps))]
+            wait(done)
+            for fut in done:
+                fut.result()
 
     mean = fsum(losses) / reps
     if reps == 1:
@@ -313,9 +344,9 @@ class RateScalingResult:
 
 
 def _grid_point(v) -> int:
-    """v as an int when it is an integer or an integral float."""
-    if isinstance(v, numbers.Integral) or (
-        isinstance(v, numbers.Real) and float(v).is_integer()
+    """v as an int when it is an integer other than a bool, or an integral float."""
+    if not isinstance(v, bool) and (
+        isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and float(v).is_integer())
     ):
         return int(v)
     raise BadParam(f"grid points must be integers, got {v!r}")

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,35 @@ def test_assouad_too_many_bins_is_one_line_error(capsys, regime, eps, r):
     assert code == 1
     assert out == ""
     assert err.startswith("treedens assouad: bins need at least") and err.count("\n") == 1
+
+
+def test_assouad_with_bins_that_cannot_fit_fails_before_building_theta(capsys):
+    # the "zeros" theta was expanded to r bits, and copied by the spec, before
+    # the O(1) fit check: about 2.8 s and a 153 MB peak at r = 10**7
+    argv = ["assouad", "--regime", "monotone-small-k", "--n", "100", "--k", "10",
+            "--r", str(10**7), "--epsilon", "0.5"]
+    tracemalloc.start()
+    try:
+        code, out, err = _capture(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "treedens assouad: bins need 20000000 atoms but the support has only 10\n"
+    assert peak < 4 * 2**20
+
+
+def test_assouad_csv_does_not_compute_the_bound_it_never_prints(capsys):
+    # the CSV view is the density alone, but the bound's beta < 0 at this
+    # epsilon failed the request
+    argv = ["assouad", "--regime", "monotone-small-k", "--n", "100", "--k", "2",
+            "--r", "1", "--epsilon", "0.99"]
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[0] == "index,mass" and len(out.splitlines()) == 3
+    code, out, err = _capture(capsys, argv + ["--format", "json"])
+    assert (code, out) == (1, "")
+    assert err.startswith("treedens assouad: need beta in (0, 1]") and err.count("\n") == 1
 
 
 _HUGE = str(10**20)

@@ -142,6 +142,15 @@ def test_bad_theta_rejected():
         HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, "0a")
     with pytest.raises(BadParam):
         HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, None)
+    # int() truncated 0.9 and 1.7 to (0, 1), parsed "1" and let True pass
+    for theta in ((0.9, 1.7), ("1", True), (True, False)):
+        with pytest.raises(BadParam, match="theta bit must be an integer"):
+            HypercubeSpec(Regime.MONOTONE_SMALL_K, 100, 10, 2, 0.5, theta)
+
+
+def test_theta_bits_are_stored_as_python_ints():
+    spec = HypercubeSpec(Regime.MONOTONE_SMALL_K, 100, 10, 2, 0.5, (np.int64(1), np.uint8(0)))
+    assert spec.theta == (1, 0) and all(type(b) is int for b in spec.theta)
 
 
 @pytest.mark.parametrize(
@@ -175,6 +184,27 @@ def test_infeasible_bins_raise():
         HypercubeSpec(Regime.MONOTONE_LARGE_K, 10**6, 8, 20, 0.01, (0,) * 20)
     with pytest.raises(InfeasibleSpec, match="^bins need 12 atoms but the support has only 10$"):
         HypercubeSpec(Regime.MONOTONE_SMALL_K, 100, 10, 6, 0.2, (0,) * 6)
+
+
+class _Unread:
+    """A theta of r bits that fails the test if it is ever iterated."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def __len__(self):
+        return self.r
+
+    def __iter__(self):
+        raise AssertionError("theta was read before the bins' fit was checked")
+
+
+def test_bins_that_cannot_fit_are_rejected_before_theta_is_read():
+    # theta was checked first: O(r) work before the O(1) fit check
+    with pytest.raises(InfeasibleSpec, match="^bins need 20000000 atoms"):
+        HypercubeSpec(Regime.MONOTONE_SMALL_K, 100, 10, 10**7, 0.5, _Unread(10**7))
+    with pytest.raises(InfeasibleSpec, match="^bins need at least 30 atoms"):
+        HypercubeSpec(Regime.CONVEX_LARGE_K, 10**6, 10, 10, 0.5, _Unread(10))
 
 
 MLK, CLK = Regime.MONOTONE_LARGE_K, Regime.CONVEX_LARGE_K

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,35 @@ def test_thread_count_does_not_change_mean():
     b = mc_risk("greedy-binary", f, 500, 16, 9, threads=8)
     assert a.mean_tv == b.mean_tv
     assert a.std_error == b.std_error
+
+
+def test_threaded_calls_reuse_their_worker_threads():
+    f = family("uniform", 8)
+    names = []
+
+    def est(f, sc):
+        names.append(threading.current_thread().name)
+        return f.mass
+
+    mc_risk(est, f, 50, 6, 0, threads=3)
+    kept = {t.name for t in threading.enumerate()} - {threading.current_thread().name}
+    for seed in range(1, 5):
+        names.clear()
+        mc_risk(est, f, 50, 6, seed, threads=3)
+        assert len(names) == 6
+        assert 1 <= len(set(names)) <= 3
+        assert set(names) <= kept
+    names.clear()
+    mc_risk(est, f, 50, 2, 0, threads=8)
+    assert 1 <= len(set(names)) <= 2
+
+
+def test_threaded_call_raises_a_replication_error():
+    def est(f, sc):
+        raise ValueError("bad fit")
+
+    with pytest.raises(ValueError, match="bad fit"):
+        mc_risk(est, family("uniform", 8), 50, 5, 0, threads=2)
 
 
 def test_single_replication_std_error_zero():
@@ -169,6 +199,12 @@ def test_rate_scaling_rejects_non_integral_grid_points():
     got = rate_scaling("oracle", "uniform", [10.0, np.float64(20), np.int32(40)], 8, 2, 0)
     assert [r.n for r in got.reports] == [10, 20, 40]
     assert got.reports == rate_scaling("oracle", "uniform", [10, 20, 40], 8, 2, 0).reports
+
+
+def test_rate_scaling_rejects_a_bool_grid_point():
+    # True was read as n = 1, so this grid ran at n = 1, 2, 3
+    with pytest.raises(BadParam, match="grid points must be integers"):
+        rate_scaling("oracle", "uniform", [True, 2, 3], 4, 2, 0)
 
 
 def test_rate_scaling_empirical_slope_near_half():
