@@ -56,6 +56,14 @@ class Regime(str, Enum):
         return self in (Regime.CONVEX_LARGE_K, Regime.CONVEX_SMALL_K)
 
 
+def _regime(value) -> Regime:
+    """value as a Regime, given as one or as its string value."""
+    try:
+        return Regime(value)
+    except (ValueError, TypeError):
+        raise BadParam(f"unknown regime {value!r}") from None
+
+
 def _growing_bins(r: int, k: int | None, width: int, target, ratio: Fraction) -> tuple[int, ...]:
     """r bin lengths from width up.  Bin i is the larger of two multiples of
     width: the float target(i, previous length) rounded up, and the least
@@ -146,10 +154,8 @@ class HypercubeSpec:
         if not isinstance(self.epsilon, numbers.Real):
             raise BadParam(f"epsilon must be a real number, got {self.epsilon!r}")
         eps = float(self.epsilon)
-        try:
-            in_range, accepted, width, layout = _REGIMES[Regime(self.regime)]
-        except ValueError:
-            raise BadParam(f"unknown regime {self.regime!r}") from None
+        object.__setattr__(self, "regime", _regime(self.regime))
+        in_range, accepted, width, layout = _REGIMES[self.regime]
         if not in_range(eps):
             raise InfeasibleSpec(f"epsilon must lie in {accepted}")
         self._fits(width * self.r, at_least=layout is not None)
@@ -189,7 +195,7 @@ def assouad_default_params(regime: Regime, n: int, k: int) -> tuple[int, float]:
     against total separation; where a window of admissible r exists, the
     smallest integer in it is returned.
     """
-    regime = Regime(regime)
+    regime = _regime(regime)
     _check_int("n", n, 1, None)
     _check_int("k", k, 1, None)
     try:

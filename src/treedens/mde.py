@@ -94,8 +94,6 @@ def _comparison_masks(vals: np.ndarray) -> np.ndarray:
     m, k = vals.shape
     if m < 2:
         return np.zeros((0, k), dtype=bool)
-    if k == 0:
-        return np.zeros((1, 0), dtype=bool)
     width = (k + 7) // 8
     seen: set[bytes] = set()
     out: list[np.ndarray] = []

@@ -86,11 +86,42 @@ class TreeNode:
 class PartitionTree:
     """A partition tree kept as its leaves: spans holds each leaf's
     (start, length) in left-to-right order, and the spans tile the
-    padded domain.  Internal nodes are implied by the arity."""
+    padded domain.  Internal nodes are implied by the arity.
+
+    The constructor checks that the tree is one a builder could make:
+    padded_k is a power of the arity, and each span's length is a power
+    of the arity that divides start - 1.  _build_tree makes its trees
+    through the unchecked _trusted."""
 
     arity: int
     padded_k: int
     spans: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        _check_int("padded_k", self.padded_k, 1)
+        if pad_to_power(self.padded_k, self.arity) != self.padded_k:  # checks the arity
+            raise BadParam(f"padded_k {self.padded_k} is not a power of {self.arity}")
+        try:
+            spans = [(start, length) for start, length in self.spans]
+        except (TypeError, ValueError):
+            raise BadParam(f"spans must be (start, length) pairs, got {self.spans!r}") from None
+        pos = 1
+        for start, length in spans:
+            _check_int("span start", start, 1)
+            _check_int("span length", length, 1)
+            if start != pos or (start - 1) % length or pad_to_power(length, self.arity) != length:
+                raise BadParam(f"span {(start, length)} is not an aligned leaf at atom {pos}")
+            pos += length
+        if pos != self.padded_k + 1:
+            raise BadParam(f"spans cover 1..{pos - 1}, padded domain is 1..{self.padded_k}")
+
+    @classmethod
+    def _trusted(cls, arity: int, padded_k: int, spans: tuple) -> PartitionTree:
+        """A tree whose spans are already aligned leaves tiling
+        1..padded_k, wrapped without the checks."""
+        tree = cls.__new__(cls)
+        tree.__dict__.update(arity=arity, padded_k=padded_k, spans=spans)
+        return tree
 
     def leaves(self) -> list[TreeNode]:
         """Leaves in left-to-right order; their intervals tile the domain."""
@@ -172,7 +203,7 @@ def _build_tree(arity: int, values: np.ndarray, total, rule) -> PartitionTree:
                 stack += ((e2 + 1, child), (e1 + 1, child), (start, child))
                 continue
         spans.append((start, length))
-    return PartitionTree(arity=arity, padded_k=padded_k, spans=tuple(spans))
+    return PartitionTree._trusted(arity, padded_k, tuple(spans))
 
 
 def build_greedy_binary(sc: SampleCounts) -> PartitionTree:

@@ -1,9 +1,10 @@
 """Seeded Monte Carlo risk estimation and rate-scaling experiments.
 
-One table defines every named estimator: a fit (truth, sample size,
-sample) -> (tree, estimate), where the tree-free fits give (None, atom
-values), and a count-free flag for the fits that read only the truth and
-the sample size.  ESTIMATORS (name -> (truth, sample) -> atom values),
+One table, ESTIMATORS, defines every named estimator.  Each entry is the
+per-replication callable (truth, sample) -> atom values, and it carries
+its fit (truth, sample size, sample) -> (tree, estimate), where the
+tree-free fits give (None, atom values), as _fit, and as _count_free
+whether that fit reads only the truth and the sample size.
 fit_estimate, mc_risk and the CLI's --estimator choices all read it.
 mc_risk averages TV(estimate, truth) over independently seeded
 replications and is bit-deterministic for a fixed master seed no matter
@@ -14,6 +15,7 @@ life of the process (see _worker_pool).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -88,43 +90,44 @@ def _idealized_ternary(f: DiscreteDensity, n: int, sc: SampleCounts | None):
     return t, idealized_pl_estimate(t, f)
 
 
-# name -> (fit, count_free); mc_risk hands a count-free fit no sample
-_TABLE = {
-    "oracle": (lambda f, n, sc: (None, f.mass), True),
-    "empirical-histogram": (lambda f, n, sc: (None, sc.frequencies()), False),
-    "greedy-binary": (_greedy_binary, False),
-    "greedy-binary+monotonize": (_greedy_monotone, False),
-    "greedy-ternary": (_greedy_ternary, False),
-    "idealized-binary": (_idealized_binary, True),
-    "idealized-ternary": (_idealized_ternary, True),
-}
-
-
 def _atom_values(fitted) -> np.ndarray:
     tree, estimate = fitted
     return estimate if tree is None else estimate.atom_values()
 
 
-def _values_view(name: str, fit):
-    """The registry callable (truth, sample) -> atom values of one fit."""
+def _estimator(name: str, fit, count_free: bool):
+    """The registry callable (truth, sample) -> atom values of one fit,
+    carrying the fit as _fit and its count-free flag as _count_free."""
 
     def values(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
         return _atom_values(fit(f, sc.n, sc))
 
-    values.__name__ = name
+    values.__name__, values._fit, values._count_free = name, fit, count_free
     return values
 
 
-ESTIMATORS = {name: _values_view(name, fit) for name, (fit, _) in _TABLE.items()}
+# name, fit, count_free; mc_risk hands a count-free fit no sample
+ESTIMATORS = {
+    name: _estimator(name, fit, count_free)
+    for name, fit, count_free in (
+        ("oracle", lambda f, n, sc: (None, f.mass), True),
+        ("empirical-histogram", lambda f, n, sc: (None, sc.frequencies()), False),
+        ("greedy-binary", _greedy_binary, False),
+        ("greedy-binary+monotonize", _greedy_monotone, False),
+        ("greedy-ternary", _greedy_ternary, False),
+        ("idealized-binary", _idealized_binary, True),
+        ("idealized-ternary", _idealized_ternary, True),
+    )
+}
 
 
 def estimator_names() -> list[str]:
     return list(ESTIMATORS)
 
 
-def _entry(name) -> tuple:
+def _entry(name):
     try:
-        return _TABLE[name]
+        return ESTIMATORS[name]
     except (KeyError, TypeError):
         raise UnknownEstimator(
             f"unknown estimator {name!r}; known: {', '.join(ESTIMATORS)}"
@@ -139,7 +142,7 @@ def fit_estimate(name: str, f: DiscreteDensity, sc: SampleCounts):
     the throwaway per-replication view of the same fit; this is the
     inspectable one the CLI serializes.
     """
-    tree, estimate = _entry(name)[0](f, sc.n, sc)
+    tree, estimate = _entry(name)._fit(f, sc.n, sc)
     if tree is None:
         estimate = PiecewiseEstimate.from_atom_values(f.k, estimate)
     return tree, estimate
@@ -148,37 +151,28 @@ def fit_estimate(name: str, f: DiscreteDensity, sc: SampleCounts):
 def _resolve(estimator) -> tuple:
     """(report name, per-replication callable, fit to run once or None).
 
-    A registry name or registry callable takes its table entry, so a
-    count-free one is fit once; any other callable runs per replication.
+    Only an ESTIMATORS entry, given by name or itself, hands back its _fit,
+    and only when it is count-free; any other callable runs per
+    replication, a functools.wraps copy of an entry included.
     """
-    if callable(estimator):
-        name = getattr(estimator, "__name__", "custom")
-        if ESTIMATORS.get(name) is not estimator:
-            return name, estimator, None
-    else:
-        name = estimator
-    fit, count_free = _entry(name)
-    return str(name), ESTIMATORS[name], fit if count_free else None
+    fn = estimator if callable(estimator) else _entry(estimator)
+    name = getattr(fn, "__name__", "custom")
+    count_free = ESTIMATORS.get(name) is fn and fn._count_free
+    return str(name), fn, fn._fit if count_free else None
 
 
-_pool: tuple = (None, None)  # (pid, executor)
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The executor of every threaded mc_risk call, kept between calls.
+@functools.cache
+def _worker_pool(pid: int) -> ThreadPoolExecutor:
+    """The executor of every threaded mc_risk call in process pid, kept
+    between calls; call it as _worker_pool(os.getpid()).
 
     Fresh threads for every call would make glibc give some of them new
     malloc arenas, ~9 MB each, so peak memory would vary from run to run
     of the same calls; kept threads keep their arenas.  A call submits at
-    most `threads` tasks, so the cap never binds.  A forked child makes
-    its own pool.
+    most `threads` tasks, so the cap never binds.  A forked child asks
+    with its own pid and so makes its own pool.
     """
-    global _pool
-    pid, pool = _pool
-    if pid != os.getpid():
-        pool = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="mc_risk")
-        _pool = (os.getpid(), pool)
-    return pool
+    return ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="mc_risk")
 
 
 @dataclass(frozen=True)
@@ -233,24 +227,23 @@ def mc_risk(
     _check_int("threads", threads, 1)
     _check_int("n", n, 0, None)
     _check_int("master_seed", master_seed, None, None)
+    if not isinstance(f, DiscreteDensity):
+        raise BadParam(f"the truth must be a DiscreteDensity, got {type(f).__name__}")
 
     if fit is not None:
         losses = [tv(f.mass, _atom_values(fit(f, n, None)))] * reps
     else:
         losses = [0.0] * reps
 
-        def one(i: int) -> None:
-            sc = sample(f, n, derive_seed(master_seed, i))
-            losses[i] = tv(f.mass, fn(f, sc))
-
         def stride(first: int) -> None:
+            # no local keeps a sample alive while the next one is drawn
             for i in range(first, reps, threads):
-                one(i)
+                losses[i] = tv(f.mass, fn(f, sample(f, n, derive_seed(master_seed, i))))
 
         if threads == 1:
             stride(0)
         else:
-            pool = _worker_pool()
+            pool = _worker_pool(os.getpid())
             done = [pool.submit(stride, w) for w in range(min(threads, reps))]
             wait(done)
             for fut in done:
@@ -278,10 +271,14 @@ def _named_members(family_list) -> list[tuple[str, DiscreteDensity]]:
     out = []
     for i, member in enumerate(family_list):
         if isinstance(member, DiscreteDensity):
-            out.append((f"member-{i}", member))
-        else:
+            member = (f"member-{i}", member)
+        try:
             label, f = member
-            out.append((str(label), f))
+        except (TypeError, ValueError):
+            f = None
+        if not isinstance(f, DiscreteDensity):
+            raise BadParam(f"family member {i} is neither a density nor a (label, density) pair")
+        out.append((str(label), f))
     return out
 
 

@@ -179,6 +179,38 @@ def test_greedy_pl_ledges_singletons_and_padding_match_reference():
         )
 
 
+@pytest.mark.parametrize(
+    "arity, padded, spans",
+    [
+        (2, 4, ((1, 2),)),  # a histogram of mass 1.28
+        (2, 4, ((1, 2), (2, 2), (4, 1))),  # five atom values for k = 4
+        (2, 4, ((1, 8),)),  # a bare IndexError
+        (2, 4, ()),  # a bare IndexError
+        (3, 9, ((1, 2), (3, 7))),  # a ZeroDivisionError in greedy_pl_estimate
+        (2, 4, ((1, 1), (2, 2), (4, 1))),  # length 2 not aligned to start 2
+        (3, 9, ((1, 9), (10, 0))),
+        (2, 6, ((1, 4), (5, 2))),  # padded_k not a power of the arity
+        (4, 4, ((1, 4),)),
+        (2, 4, ((1.0, 4),)),
+        (2, 4, (1, 4)),
+        (2, 4, None),
+    ],
+)
+def test_partition_tree_rejects_a_tree_that_does_not_tile_aligned(arity, padded, spans):
+    # k = 4, harmonic-zipf, n = 100, seed 0: the estimates of the first
+    # five trees were wrong or failed with bare errors
+    with pytest.raises(BadParam):
+        PartitionTree(arity, padded, spans)
+
+
+def test_partition_tree_accepts_every_built_tree():
+    for k in (1, 4, 10, 64, 100):
+        f = family("harmonic-zipf", k)
+        sc = sample(f, 1000, 0)
+        for t in (build_greedy_binary(sc), build_greedy_ternary(sc), build_idealized_binary(f, 1000)):
+            assert PartitionTree(t.arity, t.padded_k, t.spans) == t
+
+
 def test_renormalize_rejects_a_mass_without_a_finite_reciprocal():
     # the line through the outer thirds of [5e-324, 1.0] on 1..3 has total
     # mass 1e-323, and 1 / 1e-323 overflows to inf

@@ -132,6 +132,24 @@ def test_out_of_regime_rejected():
         assouad_default_params(Regime.CONVEX_SMALL_K, 10**6, 2)  # below k >= 3
 
 
+@pytest.mark.parametrize("regime", ["convex-small-k", "monotone-small-k"])
+def test_a_regime_given_as_its_string_builds_a_density(regime):
+    # the spec stored the string, and assouad_density called .is_convex on it
+    spec = HypercubeSpec(regime, 100, 30, 10, 0.1, (0,) * 10)
+    assert spec.regime is Regime(regime)
+    want = assouad_density(HypercubeSpec(Regime(regime), 100, 30, 10, 0.1, (0,) * 10))
+    assert np.array_equal(assouad_density(spec).mass, want.mass)
+
+
+def test_an_unknown_regime_is_a_bad_param():
+    # assouad_default_params raised a bare ValueError
+    for regime in ("bogus", None, [1]):
+        with pytest.raises(BadParam, match="unknown regime"):
+            assouad_default_params(regime, 10, 10)
+        with pytest.raises(BadParam, match="unknown regime"):
+            HypercubeSpec(regime, 100, 30, 10, 0.1, (0,) * 10)
+
+
 def test_bad_theta_rejected():
     with pytest.raises(BadParam):
         HypercubeSpec(Regime.MONOTONE_SMALL_K, 1000, 4, 2, 0.01, (0, 2))

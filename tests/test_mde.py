@@ -51,11 +51,11 @@ def test_candidate_set_rejects_non_finite_values(bad):
 
 
 @st.composite
-def _atom_rows(draw):
+def _atom_rows(draw, min_k=0):
     """(m, k) candidate values: small integers (many ties), -0.0 beside
-    0.0, and duplicate candidates."""
+    0.0, and duplicate candidates; k may be 0 unless min_k says not."""
     m = draw(st.integers(1, 12))
-    k = draw(st.integers(1, 64))
+    k = draw(st.integers(min_k, 64))
     levels = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = rng.integers(0, levels, size=(m, k)).astype(float)
@@ -89,7 +89,7 @@ def _ref_selection(vals, sc) -> int:
 
 
 @settings(max_examples=150, deadline=None)
-@given(vals=_atom_rows(), data=st.data())
+@given(vals=_atom_rows(min_k=1), data=st.data())
 def test_selection_equals_reference(vals, data):
     k = vals.shape[1]
     counts = data.draw(st.lists(st.integers(0, 20), min_size=k, max_size=k).filter(any))

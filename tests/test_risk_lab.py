@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import threading
@@ -331,6 +332,37 @@ def test_custom_callable_runs_every_replication():
     assert len(seen) == 5
     for i, counts in enumerate(seen):
         assert np.array_equal(counts, sample(f, 100, derive_seed(3, i)).counts)
+
+
+def test_a_wrapped_registry_callable_runs_every_replication():
+    # functools.wraps copies the entry's _fit and _count_free, but only the
+    # entry itself is fit once
+    calls = []
+
+    @functools.wraps(ESTIMATORS["oracle"])
+    def oracle(f, sc):
+        calls.append(sc.n)
+        return ESTIMATORS["oracle"](f, sc)
+
+    assert oracle._count_free
+    rep = mc_risk(oracle, family("harmonic-zipf", 16), 100, 5, 3)
+    assert rep.estimator_name == "oracle" and rep.mean_tv == 0.0
+    assert calls == [100] * 5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sup_risk("oracle", [1], 10, 1, 0),
+        lambda: sup_risk("oracle", [("a", "x")], 10, 1, 0),
+        lambda: mc_risk("oracle", "x", 10, 1, 0),
+        lambda: rate_scaling("oracle", lambda k: 3, [1, 2, 3], 5, 1, 0),
+    ],
+)
+def test_risk_functions_reject_a_truth_that_is_not_a_density(call):
+    # a bare TypeError or AttributeError before
+    with pytest.raises(BadParam):
+        call()
 
 
 def _never_fit(f, sc):
