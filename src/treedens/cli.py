@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .densities import FAMILY_NAMES, _check_int, family
+from .densities import FAMILY_NAMES, _check_int, _json_text, family
 from .errors import BadParam, TreedensError
 from .hypercubes import (
     HypercubeSpec,
@@ -127,7 +127,7 @@ def _emit(args, result) -> None:
     --out or stdout.  This is the one place a record is encoded."""
     if isinstance(result, dict):
         if args.format == "json":
-            text = json.dumps(result, indent=2) + "\n"
+            text = _json_text(result) + "\n"
         else:
             text = f"{','.join(result)}\n{','.join(map(str, result.values()))}\n"
     else:

@@ -93,13 +93,115 @@ class DiscreteDensity:
 
     def to_csv(self) -> str:
         """Rows of (index, mass), index 1-based, with a header line."""
-        return _atom_csv("index,mass", self.mass.tolist())
+        return _atom_csv("index,mass", self.mass)
 
 
-def _atom_csv(header: str, values: list) -> str:
+def _atom_csv(header: str, values: np.ndarray) -> str:
     """The header line, then one row x,repr(v) per value, x from 1: the CSV
-    layout of every per-atom table (densities, counts, estimates)."""
-    return header + "\n" + "".join(f"{x},{v!r}\n" for x, v in enumerate(values, start=1))
+    layout of every per-atom table (densities, counts, estimates).
+
+    values is a float64 or integer array.  An estimate is constant on long
+    runs of atoms, so repr runs once per run of bit-identical values (a
+    float64 is compared through its int64 view: -0.0 and 0.0 differ, and a
+    NaN equals a NaN of the same bits), and ndarray.repeat spreads the
+    texts over the run.  The rows are the ones repr of each item of
+    values.tolist() gives.
+    """
+    v = np.asarray(values)
+    bits = v.view(np.int64) if v.dtype == np.float64 else v
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    first = np.concatenate(([0], starts)) if v.size else starts
+    texts = np.array([repr(x) for x in v[first].tolist()], dtype=object)
+    # one %-format call writes every row: index x, then the text of x's run
+    cells = [None] * (2 * v.size)
+    cells[0::2] = range(1, v.size + 1)
+    cells[1::2] = texts.repeat(np.diff(first, append=v.size)).tolist()
+    return header + "\n" + ("%d,%s\n" * v.size) % tuple(cells)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, without the stdlib's
+    per-token generators: every container is one ",".join of its items'
+    texts.  Types are told apart as json tells them apart, so a float
+    subclass such as np.float64 writes as its float value, a tuple as a
+    list, and NaN and the infinities by name.  A value json rejects (an
+    unknown type, a bad key, a cycle) is handed to json.dumps, which
+    raises its own error with its own message.
+    """
+    try:
+        return _json_value(obj, "\n")
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, indent=2)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """The string json writes for a dict key, tested in json's order."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True or key is False or key is None:
+        return _json_value(key, "")
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_value(o, nl: str) -> str:
+    """o as json.dumps(o, indent=2) writes it at the depth whose line
+    break and indent is nl.
+
+    The exact types str, int, float, dict, list and tuple are told apart
+    by type(o), which gives json's answer for them; anything else goes
+    through json's isinstance tests in json's order.
+    """
+    t = type(o)
+    if t is str:
+        return _encode_str(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is float:
+        return _json_float(o)
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(o, str):
+            return _encode_str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _json_float(o)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = nl + "  "
+    if not isinstance(o, dict):
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in o]) + nl + "]"
+    items = []
+    for key, v in o.items():
+        # the record's keys are str and most values int: no call for those
+        t = type(v)
+        text = int.__repr__(v) if t is int else _json_value(v, inner)
+        items.append(_encode_str(key if type(key) is str else _json_key(key)) + ": " + text)
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
 def _check_int(name: str, v, low, high=_MAX_SIZE, error=BadParam) -> None:

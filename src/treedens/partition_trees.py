@@ -392,7 +392,7 @@ class PiecewiseEstimate:
         return json.dumps({"domain_k": self.domain_k, "pieces": out})
 
     def to_csv(self) -> str:
-        return _atom_csv("x,value", self.atom_values().tolist())
+        return _atom_csv("x,value", self.atom_values())
 
 
 # The estimates below are laid out flat, one row of six after another in

@@ -16,7 +16,6 @@ life of the process (see _worker_pool).
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import os
@@ -27,10 +26,11 @@ from math import fsum
 
 import numpy as np
 
-from .densities import FAMILY_NAMES, DiscreteDensity, _check_int, family
+from .densities import FAMILY_NAMES, DiscreteDensity, _check_int, _json_text, family
 from .errors import (
     BadParam,
     DegenerateGrid,
+    DomainMismatch,
     EmptyFamily,
     InfeasibleSpec,
     OutOfRegime,
@@ -142,7 +142,12 @@ def fit_estimate(name: str, f: DiscreteDensity, sc: SampleCounts):
     the throwaway per-replication view of the same fit; this is the
     inspectable one the CLI serializes.
     """
-    tree, estimate = _entry(name)._fit(f, sc.n, sc)
+    fit = _entry(name)._fit
+    if not isinstance(f, DiscreteDensity) or not isinstance(sc, SampleCounts):
+        raise BadParam("fit_estimate needs a DiscreteDensity truth and a SampleCounts sample")
+    if sc.k != f.k:
+        raise DomainMismatch(f"the sample is over 1..{sc.k}, the truth over 1..{f.k}")
+    tree, estimate = fit(f, sc.n, sc)
     if tree is None:
         estimate = PiecewiseEstimate.from_atom_values(f.k, estimate)
     return tree, estimate
@@ -189,7 +194,7 @@ class RiskReport:
     master_seed: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return _json_text(asdict(self))
 
     CSV_HEADER = "n,k,mean_tv,std_error,reps,seed"
 
@@ -268,8 +273,13 @@ def mc_risk(
 
 
 def _named_members(family_list) -> list[tuple[str, DiscreteDensity]]:
+    try:
+        members = list(family_list)
+    except TypeError:
+        name = type(family_list).__name__
+        raise BadParam(f"the family must be an iterable of densities, got {name}") from None
     out = []
-    for i, member in enumerate(family_list):
+    for i, member in enumerate(members):
         if isinstance(member, DiscreteDensity):
             member = (f"member-{i}", member)
         try:

@@ -58,12 +58,17 @@ class SampleCounts:
     def __post_init__(self):
         _check_int("k", self.k, 1)
         _check_int("n", self.n, 0, None)  # counts past 2**63 are kept exactly
-        raw = np.asarray(self.counts)
-        if raw.dtype.kind not in "biu":
-            vals = raw.astype(float)
-            # NaN fails both tests; inf and overflow fail the range test
-            if not np.all((vals == np.trunc(vals)) & (np.abs(vals) < 2.0**63)):
-                raise BadParam("counts must be finite integers")
+        try:
+            raw = np.asarray(self.counts)
+            vals = raw if raw.dtype.kind in "biu" else raw.astype(float)
+        except (TypeError, ValueError) as exc:  # ragged, or not numbers at all
+            raise BadParam(f"counts must be a vector of integers: {exc}") from None
+        # NaN fails both tests; inf and overflow fail the range test; text
+        # that parses as numbers is still text
+        if raw.dtype.kind in "SU" or (
+            vals is not raw and not np.all((vals == np.trunc(vals)) & (np.abs(vals) < 2.0**63))
+        ):
+            raise BadParam("counts must be finite integers")
         counts = np.ascontiguousarray(raw, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.shape != (self.k,):
@@ -92,7 +97,7 @@ class SampleCounts:
         return self.counts / self.n
 
     def to_csv(self) -> str:
-        return _atom_csv("index,count", self.counts.tolist())
+        return _atom_csv("index,count", self.counts)
 
 
 def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:

@@ -737,3 +737,9 @@ def ref_density_to_csv(mass) -> str:
     for i, v in enumerate(mass, start=1):
         w.writerow([i, repr(float(v))])
     return buf.getvalue()
+
+
+def ref_atom_csv(header: str, values) -> str:
+    """The per-atom CSV writer as first written: one f-string with repr per
+    item of values.tolist()."""
+    return header + "\n" + "".join(f"{x},{v!r}\n" for x, v in enumerate(values.tolist(), start=1))

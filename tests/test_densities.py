@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import treedens.densities as densities
-from oracles import ref_density_to_csv, ref_family_mass
+from oracles import ref_atom_csv, ref_density_to_csv, ref_family_mass
 from treedens import (
     FAMILY_NAMES,
     NORMALIZATION_TOL,
@@ -418,3 +418,138 @@ def test_family_rejects_a_k_that_cannot_size_an_array(k):
     # ValueError, raised while building the mass array
     with pytest.raises(BadParam, match="^k must be an integer of at most"):
         family("uniform", k)
+
+
+# --- the two encoders against their references --------------------------------
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not the value"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not the value"
+
+
+class _Str(str):
+    pass
+
+
+_json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-7]),
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    _json_floats,
+    _json_floats.map(np.float64),
+    _json_floats.map(_Float),
+    st.integers().map(_Int),
+    st.text(),
+    st.text().map(_Str),
+)
+_json_keys = st.one_of(
+    st.text(), st.text().map(_Str), st.integers(), _json_floats, st.booleans(), st.none(),
+    _json_floats.map(np.float64),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_json_keys, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=_json_values)
+def test_json_writer_is_json_dumps_indent_2(v):
+    # the writer itself, and not json.dumps behind it, gives the text
+    want = json.dumps(v, indent=2)
+    assert densities._json_value(v, "\n") == want
+    assert densities._json_text(v) == want
+
+
+def _circular():
+    a = [1, {"b": 2}]
+    a[1]["c"] = a
+    return a
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        np.int64(3),
+        [1, np.bool_(True)],
+        {"a": {1, 2}},
+        {(1, 2): 3},
+        {"ok": 1, b"key": 2},
+        [b"bytes"],
+        _circular(),
+        [[[[[[object()]]]]]],
+    ],
+)
+def test_json_writer_rejects_what_json_rejects(v):
+    with pytest.raises(Exception) as want:
+        json.dumps(v, indent=2)
+    with pytest.raises(type(want.value)) as got:
+        densities._json_text(v)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_writer_on_deep_nesting():
+    # past the depth the writer's own recursion reaches, json decides
+    for depth in (10, 400, 900, 5000):
+        v = []
+        for _ in range(depth):
+            v = [v, 1]
+        try:
+            want = json.dumps(v, indent=2)
+        except RecursionError:
+            with pytest.raises(RecursionError):
+                densities._json_text(v)
+        else:
+            assert densities._json_text(v) == want
+
+
+def _runs(values):
+    """Draws expanded into runs of 1-4 equal items, so neighbours repeat."""
+    return st.lists(st.tuples(values, st.integers(1, 4)), max_size=30).map(
+        lambda pairs: [x for x, n in pairs for _ in range(n)]
+    )
+
+
+_bits = st.integers(-(2**63), 2**63 - 1)
+_csv_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1 / 3]),
+    # any bit pattern: NaNs with payloads, subnormals, both zeros
+    _bits.map(lambda b: float(np.int64(b).view(np.float64))),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.one_of(
+        _runs(_csv_floats).map(lambda xs: np.array(xs, dtype=np.float64)),
+        _runs(st.one_of(st.integers(0, 3), _bits)).map(lambda xs: np.array(xs, dtype=np.int64)),
+    ),
+    header=st.sampled_from(["index,mass", "index,count", "x,value"]),
+)
+def test_atom_csv_is_the_per_atom_writer(values, header):
+    assert densities._atom_csv(header, values) == ref_atom_csv(header, values)
+
+
+def test_atom_csv_splits_signed_zeros_and_keeps_nan():
+    v = np.array([0.0, -0.0, -0.0, 0.0, math.nan, math.nan, 1.0])
+    assert densities._atom_csv("x,value", v) == (
+        "x,value\n1,0.0\n2,-0.0\n3,-0.0\n4,0.0\n5,nan\n6,nan\n7,1.0\n"
+    )
+    assert densities._atom_csv("x,value", np.array([], dtype=float)) == "x,value\n"

@@ -12,6 +12,7 @@ from treedens import (
     ESTIMATORS,
     BadParam,
     DegenerateGrid,
+    DomainMismatch,
     EmptyFamily,
     HypercubeSpec,
     NotConvex,
@@ -378,3 +379,19 @@ def test_mc_risk_rejects_non_integer_sizes_before_any_fit(estimator, n, reps, th
     # n from the count-free oracle, and a float thread count was accepted
     with pytest.raises(BadParam, match="must be an integer"):
         mc_risk(estimator, family("uniform", 8), n, reps, 0, threads=threads)
+
+
+def test_fit_estimate_rejects_a_sample_over_another_domain():
+    # it returned an estimate over 1..5 for a truth over 1..4 before
+    f = family("uniform", 4)
+    with pytest.raises(DomainMismatch):
+        fit_estimate("greedy-binary", f, sample(family("uniform", 5), 10, 0))
+    for truth, sc in ((f, "x"), (f, [3, 3, 2, 2]), (f.mass, sample(f, 10, 0))):
+        with pytest.raises(BadParam):
+            fit_estimate("greedy-binary", truth, sc)
+
+
+def test_sup_risk_rejects_a_family_that_is_not_iterable():
+    # a bare TypeError from iterating the int before
+    with pytest.raises(BadParam):
+        sup_risk("oracle", 5, 10, 1, 0)

@@ -94,6 +94,16 @@ def test_sample_counts_reject_non_integral_floats(counts, n):
         SampleCounts(k=2, n=n, counts=np.array(counts))
 
 
+@pytest.mark.parametrize(
+    "counts", ["abcd", ["1", "2", "3", "4"], [[1, 2], [3, 4, 0]], {1: 2}, object()]
+)
+def test_sample_counts_reject_what_is_not_a_vector_of_numbers(counts):
+    # "abcd" leaked a bare ValueError from astype(float) before, and text
+    # that parses as numbers was taken as counts
+    with pytest.raises(BadParam):
+        SampleCounts(k=4, n=10, counts=counts)
+
+
 def test_sample_counts_accept_integral_floats():
     sc = SampleCounts(k=3, n=5, counts=np.array([2.0, 0.0, 3.0]))
     assert sc.counts.dtype == np.int64
