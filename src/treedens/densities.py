@@ -120,16 +120,17 @@ def _atom_csv(header: str, values: np.ndarray) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# json's names for the floats repr writes as nan, inf and -inf
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_text(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, without the stdlib's
     per-token generators: every container is one ",".join of its items'
-    texts.  Types are told apart as json tells them apart, so a float
-    subclass such as np.float64 writes as its float value, a tuple as a
-    list, and NaN and the infinities by name.  A value json rejects (an
-    unknown type, a bad key, a cycle) is handed to json.dumps, which
-    raises its own error with its own message.
+    texts.  The writer takes only the exact types records hold (see
+    _json_value); for anything else, a subclass such as np.float64 or a
+    non-str key included, the whole object is handed to json.dumps, which
+    alone decides how to write it or which error to raise.
     """
     try:
         return _json_value(obj, "\n")
@@ -137,70 +138,42 @@ def _json_text(obj) -> str:
         return json.dumps(obj, indent=2)
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    """The string json writes for a dict key, tested in json's order."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True or key is False or key is None:
-        return _json_value(key, "")
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _json_value(o, nl: str) -> str:
     """o as json.dumps(o, indent=2) writes it at the depth whose line
     break and indent is nl.
 
-    The exact types str, int, float, dict, list and tuple are told apart
-    by type(o), which gives json's answer for them; anything else goes
-    through json's isinstance tests in json's order.
+    o holds only the exact types str, int, float, None, True and False,
+    and lists, tuples and str-keyed dicts of these; any other type, or a
+    key that is not exactly a str, raises TypeError.
     """
     t = type(o)
     if t is str:
         return _encode_str(o)
     if t is int:
-        return int.__repr__(o)
+        return repr(o)
     if t is float:
-        return _json_float(o)
+        text = repr(o)
+        return _FLOAT_NAMES.get(text, text)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
     if t is not dict and t is not list and t is not tuple:
-        if isinstance(o, str):
-            return _encode_str(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _json_float(o)
-        if not isinstance(o, (list, tuple, dict)):
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"no exact JSON type for {t.__name__}")
     if not o:
-        return "{}" if isinstance(o, dict) else "[]"
+        return "{}" if t is dict else "[]"
     inner = nl + "  "
-    if not isinstance(o, dict):
+    if t is not dict:
         return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in o]) + nl + "]"
     items = []
     for key, v in o.items():
-        # the record's keys are str and most values int: no call for those
-        t = type(v)
-        text = int.__repr__(v) if t is int else _json_value(v, inner)
-        items.append(_encode_str(key if type(key) is str else _json_key(key)) + ": " + text)
+        if type(key) is not str:
+            raise TypeError(f"no exact JSON type for a {type(key).__name__} key")
+        # the record's values are mostly int: no call for those
+        text = repr(v) if type(v) is int else _json_value(v, inner)
+        items.append(_encode_str(key) + ": " + text)
     return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 

@@ -64,15 +64,15 @@ def _regime(value) -> Regime:
         raise BadParam(f"unknown regime {value!r}") from None
 
 
-def _growing_bins(r: int, k: int | None, width: int, target, ratio: Fraction) -> tuple[int, ...]:
+def _growing_bins(r: int, k: int, width: int, target, ratio: Fraction) -> tuple[int, ...]:
     """r bin lengths from width up.  Bin i is the larger of two multiples of
     width: the float target(i, previous length) rounded up, and the least
-    one at least ratio times the previous length, found exactly.  With k
-    given, building stops with InfeasibleSpec once the total passes k."""
+    one at least ratio times the previous length, found exactly.  Building
+    stops with InfeasibleSpec once the total passes k."""
     lengths = [width]
     total = width
     for i in range(1, r):
-        if k is not None and total > k:
+        if total > k:
             raise InfeasibleSpec(f"bins need more than {k} atoms but the support has only {k}")
         try:
             nxt = width * math.ceil(target(i, lengths[-1]) / width)
@@ -85,7 +85,7 @@ def _growing_bins(r: int, k: int | None, width: int, target, ratio: Fraction) ->
     return tuple(lengths)
 
 
-def _even_bins(r: int, eps: float, k: int | None = None) -> tuple[int, ...]:
+def _even_bins(r: int, eps: float, k: int) -> tuple[int, ...]:
     """Bin lengths for the monotone large-k regime.
 
     Even lengths starting at 2, growing at least like 2 e^{4 eps (i-1)}.  On
@@ -102,7 +102,7 @@ def _even_bins(r: int, eps: float, k: int | None = None) -> tuple[int, ...]:
     return _growing_bins(r, k, 2, target, (1 + e) / (1 - e))
 
 
-def _triple_bins(r: int, eps: float, k: int | None = None) -> tuple[int, ...]:
+def _triple_bins(r: int, eps: float, k: int) -> tuple[int, ...]:
     """Bin lengths for the convex large-k regime: multiples of 3 growing
     like 3/(1-eps)^{i-1}, and at least by the factor (1+eps) the cross-bin
     slope ordering asks for."""
@@ -391,37 +391,29 @@ def _grid_at_scale(
     return at
 
 
-def _convex_scale(
-    regime: Regime, bin_lengths: tuple[int, ...], k: int, eps: float
-) -> tuple[float, int]:
-    """Tune the overall scale so total mass is 1; returns (scale, q).
+def _convex_scale(total, r: int, q: int) -> float:
+    """The overall scale at which total, the map scale -> exact integer
+    mass of a grid in units of 2**-q, reads 2**q.
 
-    Mass is theta-independent, so bisecting with the all-zeros corner
-    settles every corner.  The grid exponent q keeps the largest integer
-    value below 2**51, which keeps the predicate's float arithmetic exact.
-    Each step reads the grid's exact closed-form total, never the grid.
-
-    The bisection runs at most 80 steps but stops at its fixed point: once
-    the float midpoint equals the end it would replace, the step leaves
-    (lo, hi) unchanged, and since a step depends on (lo, hi) alone every
-    remaining step would repeat it.  The result is therefore the one all
-    80 steps give; at the convex-small-k specs tried the stop comes after
-    57 steps.
+    The total is theta-independent, so the member's own grid settles the
+    scale every corner shares.  The bisection runs at most 80 steps but
+    stops at its fixed point: once the float midpoint equals the end it
+    would replace, the step leaves (lo, hi) unchanged, and since a step
+    depends on (lo, hi) alone every remaining step would repeat it.  The
+    result is therefore the one all 80 steps give; at the convex-small-k
+    specs tried the stop comes after 57 steps.
     """
-    r = len(bin_lengths)
-    q = 49 + max(0, int(math.floor(math.log2(r))))
     target = 2**q
-    mass = _grid_at_scale(regime, bin_lengths, k, eps, (0,) * r, q).total
     lo, hi = 0.0, 4.0 / r
     for _ in range(4):
-        if mass(hi) >= target:
+        if total(hi) >= target:
             break
         hi *= 2.0
     else:
         raise InfeasibleSpec("could not normalize the convex construction")
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if mass(mid) > target:
+        if total(mid) > target:
             if mid == hi:
                 break
             hi = mid
@@ -429,7 +421,7 @@ def _convex_scale(
             if mid == lo:
                 break
             lo = mid
-    return (lo + hi) / 2.0, q
+    return (lo + hi) / 2.0
 
 
 def assouad_density(spec: HypercubeSpec) -> DiscreteDensity:
@@ -447,9 +439,11 @@ def assouad_density(spec: HypercubeSpec) -> DiscreteDensity:
     elif spec.regime == Regime.MONOTONE_SMALL_K:
         mass = _monotone_small(spec)
     else:
-        scale, q = _convex_scale(spec.regime, spec.bin_lengths, spec.k, spec.epsilon)
+        # q keeps the largest integer value below 2**51, which keeps the
+        # predicate's float arithmetic exact
+        q = 49 + int(math.floor(math.log2(spec.r)))
         grid_at = _grid_at_scale(spec.regime, spec.bin_lengths, spec.k, spec.epsilon, spec.theta, q)
-        mass = grid_at(scale).astype(float) * 2.0**-q
+        mass = grid_at(_convex_scale(grid_at.total, spec.r, q)).astype(float) * 2.0**-q
     out = DiscreteDensity(k=spec.k, mass=mass)
     ok = is_convex_non_increasing(out) if spec.regime.is_convex() else is_non_increasing(out)
     if not ok:

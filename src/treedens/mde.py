@@ -63,7 +63,10 @@ class CandidateSet:
         if not candidates:
             raise EmptyCandidates("need at least one candidate")
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
+            try:
+                labels = tuple(str(s) for s in labels)
+            except TypeError:
+                raise BadParam(f"labels must be iterable, got {labels!r}") from None
             if len(labels) != len(candidates):
                 raise BadParam(
                     f"{len(labels)} labels for {len(candidates)} candidates"

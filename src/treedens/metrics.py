@@ -9,13 +9,14 @@ set.  Both are exponential on purpose and refuse inputs past a hard cap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .densities import DiscreteDensity, _check_int, _fsum
-from .errors import BadParam, BadParams, DomainMismatch, TooLarge
+from .errors import BadParam, BadParams, DomainMismatch, NegativeMass, TooLarge
 from .partition_trees import PiecewiseEstimate
 
 __all__ = [
@@ -85,8 +86,12 @@ def tv_sup_bruteforce(f, g) -> float:
 
 
 def hellinger_affinity(f, g) -> float:
-    """Sum over atoms of sqrt(f(x) g(x)), in [0, 1] for probability vectors."""
+    """Sum over atoms of sqrt(f(x) g(x)), in [0, 1] for probability vectors.
+
+    Raises NegativeMass when an atom of either argument is negative."""
     a, b = _atom_pair(f, g)
+    if a.min(initial=0.0) < 0 or b.min(initial=0.0) < 0:
+        raise NegativeMass("affinity needs non-negative atom values")
     return _fsum(np.sqrt(a * b))
 
 
@@ -99,10 +104,10 @@ def assouad_lower_bound(r: int, alpha: float, beta: float, n: int) -> float:
     reported as 0 rather than negative.
     """
     _check_int("r", r, 1, None, BadParams)
-    if not 0.0 < alpha <= 1.0:
-        raise BadParams(f"need alpha in (0, 1], got {alpha}")
-    if not 0.0 < beta <= 1.0:
-        raise BadParams(f"need beta in (0, 1], got {beta}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
+        raise BadParams(f"need alpha in (0, 1], got {alpha!r}")
+    if not (isinstance(beta, numbers.Real) and 0.0 < beta <= 1.0):
+        raise BadParams(f"need beta in (0, 1], got {beta!r}")
     _check_int("n", n, 1, None, BadParams)
     try:
         return max(0.0, (r * alpha / 4.0) * (1.0 - math.sqrt(2.0 * n * (1.0 - beta))))

@@ -34,6 +34,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
@@ -60,8 +61,10 @@ from .sampling import SampleCounts
 
 def pad_to_power(k: int, arity: int) -> int:
     """Smallest power of the arity at least k."""
-    if arity not in (2, 3):
-        raise BadParam("arity must be 2 or 3")
+    try:
+        _check_int("arity", arity, 2, 3)
+    except BadParam:
+        raise BadParam("arity must be 2 or 3") from None
     _check_int("k", k, 1, None)
     padded = 1
     while padded < k:
@@ -114,6 +117,9 @@ class PartitionTree:
             pos += length
         if pos != self.padded_k + 1:
             raise BadParam(f"spans cover 1..{pos - 1}, padded domain is 1..{self.padded_k}")
+        # Python ints, as the builders make them: json writes no numpy integer
+        spans = tuple((int(start), int(length)) for start, length in spans)
+        self.__dict__.update(arity=int(self.arity), padded_k=int(self.padded_k), spans=spans)
 
     @classmethod
     def _trusted(cls, arity: int, padded_k: int, spans: tuple) -> PartitionTree:
@@ -249,6 +255,11 @@ def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
 # ---------------------------------------------------------------------------
 
 
+# real numbers: numbers.Real, and the Decimal and numpy bool it leaves out,
+# which monotonize pools or rejects itself
+_REAL = (numbers.Real, Decimal, np.bool_)
+
+
 @dataclass(frozen=True)
 class Piece:
     """One span of an estimate: constant value, or a line slope*x + intercept
@@ -266,6 +277,9 @@ class Piece:
             raise BadParam(f"unknown piece kind {self.kind!r}")
         _check_int("start", self.start, 1)
         _check_int("length", self.length, 1)
+        for name in ("value", "slope", "intercept"):
+            if not isinstance(getattr(self, name), _REAL):
+                raise BadParam(f"piece {name} must be a real number, got {getattr(self, name)!r}")
 
     def atom_values(self) -> np.ndarray:
         if self.kind == "constant":

@@ -386,6 +386,8 @@ def rate_scaling(
     if isinstance(density_builder, str):
         fam_name = density_builder
         f = family(fam_name, k)
+    elif not callable(density_builder):
+        raise BadParam(f"density_builder must be a name or a callable, got {density_builder!r}")
     else:
         f = density_builder(k)
         fam_name = getattr(density_builder, "__name__", "custom")

@@ -64,8 +64,8 @@ class SampleCounts:
         except (TypeError, ValueError) as exc:  # ragged, or not numbers at all
             raise BadParam(f"counts must be a vector of integers: {exc}") from None
         # NaN fails both tests; inf and overflow fail the range test; text
-        # that parses as numbers is still text
-        if raw.dtype.kind in "SU" or (
+        # that parses as numbers is still text, and a bool is no integer
+        if raw.dtype.kind in "SUb" or (
             vals is not raw and not np.all((vals == np.trunc(vals)) & (np.abs(vals) < 2.0**63))
         ):
             raise BadParam("counts must be finite integers")
@@ -153,6 +153,8 @@ def subsets_to_masks(sets, k: int) -> np.ndarray:
                 raise BadParam(f"boolean mask must have length {k}")
             rows.append(arr)
             continue
+        if arr.ndim != 1:
+            raise BadParam(f"atom indices must be a flat collection, got {s!r}")
         mask = np.zeros(k, dtype=bool)
         if arr.size:
             # NaN and inf fail the integral test, and the range is checked

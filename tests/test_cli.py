@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedens import FAMILY_NAMES, Regime
+import treedens.cli as cli
+import treedens.densities as densities
 from treedens.cli import run
 from treedens.risk_lab import ESTIMATORS
 
@@ -463,6 +465,17 @@ CLI_SHA256 = json.loads((DATA / "cli_sha256.json").read_text())
 
 @pytest.mark.parametrize("case", CLI_SHA256, ids=lambda c: " ".join(c["argv"]))
 def test_stdout_bytes_unchanged(capsys, case):
+    assert run(case["argv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in CLI_SHA256 if "json" in c["argv"]], ids=lambda c: " ".join(c["argv"])
+)
+def test_json_records_need_no_fallback(capsys, monkeypatch, case):
+    # a record the writer cannot take would go to the slow json.dumps
+    monkeypatch.setattr(cli, "_json_text", lambda obj: densities._json_value(obj, "\n"))
     assert run(case["argv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]

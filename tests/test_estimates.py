@@ -191,6 +191,7 @@ def test_greedy_pl_ledges_singletons_and_padding_match_reference():
         (3, 9, ((1, 9), (10, 0))),
         (2, 6, ((1, 4), (5, 2))),  # padded_k not a power of the arity
         (4, 4, ((1, 4),)),
+        (2.0, 8, ((1, 8),)),  # kept, and written as "arity": 2.0
         (2, 4, ((1.0, 4),)),
         (2, 4, (1, 4)),
         (2, 4, None),
@@ -201,6 +202,16 @@ def test_partition_tree_rejects_a_tree_that_does_not_tile_aligned(arity, padded,
     # five trees were wrong or failed with bare errors
     with pytest.raises(BadParam):
         PartitionTree(arity, padded, spans)
+
+
+def test_partition_tree_keeps_python_ints():
+    # numpy integers leaked a TypeError from json.dumps in to_json
+    i = np.int64
+    t = PartitionTree(i(2), i(4), [(i(1), i(2)), (i(3), i(1)), (i(4), i(1))])
+    assert t == PartitionTree(2, 4, ((1, 2), (3, 1), (4, 1)))
+    fields = (t.arity, t.padded_k, *(x for span in t.spans for x in span))
+    assert {type(x) for x in fields} == {int} and type(t.spans) is tuple
+    assert json.loads(t.to_json())["arity"] == 2
 
 
 def test_partition_tree_accepts_every_built_tree():
@@ -267,6 +278,21 @@ def test_columns_rebuild_the_given_pieces(case):
     assert "pieces" not in flat.__dict__
     assert_same_estimate(flat, est)
     assert repr(flat) == repr(est)
+
+
+@pytest.mark.parametrize("v", [1, np.float64(0.5), -0.0, Fraction(1, 3), Decimal("0.25"), True])
+def test_piece_takes_real_numbers(v):
+    p = Piece(1, 2, "linear", v, v, v)
+    assert (p.value, p.slope, p.intercept) == (v, v, v)
+
+
+@pytest.mark.parametrize("v", ["x", "0.5", None, [0.5], 1j, np.complex128(1)], ids=repr)
+@pytest.mark.parametrize("field", ["value", "slope", "intercept"])
+def test_piece_rejects_a_field_that_is_not_a_real_number(field, v):
+    # "x" made total_mass raise a bare ValueError and tv numpy's
+    # UFuncTypeError; None wrote the CSV row 1,None
+    with pytest.raises(BadParam, match=f"piece {field} must be a real number"):
+        Piece(1, 1, "constant", **{field: v})
 
 
 def test_estimates_differ_when_a_field_differs():

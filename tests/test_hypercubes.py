@@ -226,6 +226,7 @@ def test_bins_that_cannot_fit_are_rejected_before_theta_is_read():
 
 
 MLK, CLK = Regime.MONOTONE_LARGE_K, Regime.CONVEX_LARGE_K
+_NO_CAP = 10**400  # a support no bin total reaches before its float targets overflow
 
 
 @pytest.mark.parametrize("regime, width", [(MLK, 2), (CLK, 3)])
@@ -262,7 +263,7 @@ def test_bin_length_overflow_is_infeasible(regime, eps, r):
 
 @pytest.mark.parametrize("regime, build", [(MLK, _even_bins), (CLK, _triple_bins)])
 def test_full_sum_message_where_the_sum_is_computed(regime, build):
-    lengths = build(5, 0.2)
+    lengths = build(5, 0.2, _NO_CAP)
     need = sum(lengths)
     message = f"^bins need {need} atoms but the support has only {need - 1}$"
     with pytest.raises(InfeasibleSpec, match=message):
@@ -277,13 +278,15 @@ def test_bin_lengths_equal_the_stepping_reference(r, eps):
         return max(2.0 * math.exp(4.0 * eps * i), last * (1 + eps) / (1 - eps))
 
     e = Fraction(eps)
-    assert _even_bins(r, eps) == tuple(ref_growing_bins(r, 2, even_target, (1 + e) / (1 - e)))
+    want = ref_growing_bins(r, 2, even_target, (1 + e) / (1 - e))
+    assert _even_bins(r, eps, _NO_CAP) == tuple(want)
     e3 = min(eps, 0.5)
 
     def triple_target(i, last):
         return max(3.0 / (1.0 - e3) ** i, last * (1.0 + e3))
 
-    assert _triple_bins(r, e3) == tuple(ref_growing_bins(r, 3, triple_target, 1 + Fraction(e3)))
+    want = ref_growing_bins(r, 3, triple_target, 1 + Fraction(e3))
+    assert _triple_bins(r, e3, _NO_CAP) == tuple(want)
 
 
 def test_bins_past_float_precision_take_one_step_each():
@@ -346,7 +349,7 @@ def _convex_layout(draw, small=False):
         return Regime.CONVEX_SMALL_K, (3,) * r, eps
     if kind == "convex-large-k":
         r = draw(st.integers(1, 6 if small else 10))
-        return Regime.CONVEX_LARGE_K, _triple_bins(r, eps), eps
+        return Regime.CONVEX_LARGE_K, _triple_bins(r, eps, _NO_CAP), eps
     lengths = tuple(
         3 * m for m in draw(st.lists(st.integers(1, 12), min_size=1, max_size=15))
     )
@@ -355,6 +358,13 @@ def _convex_layout(draw, small=False):
 
 def _q(r: int) -> int:
     return 49 + int(math.floor(math.log2(r)))
+
+
+def _scale(regime, lengths, k, eps, bits=None):
+    """The scale assouad_density gives the corner bits (zeros by default)."""
+    r, q = len(lengths), _q(len(lengths))
+    bits = (0,) * r if bits is None else bits
+    return _convex_scale(_grid_at_scale(regime, lengths, k, eps, bits, q).total, r, q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -370,7 +380,7 @@ def test_convex_grid_equals_reference(layout, data):
         scale = 0.0
     elif which == "tuned":
         try:
-            scale = _convex_scale(regime, lengths, k, eps)[0]
+            scale = _scale(regime, lengths, k, eps)
         except InfeasibleSpec:
             scale = top
     elif which == "top":
@@ -386,16 +396,34 @@ def test_convex_grid_equals_reference(layout, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(layout=_convex_layout(small=True), slack=st.integers(0, 30))
-def test_convex_scale_equals_reference(layout, slack):
+@given(layout=_convex_layout(small=True), slack=st.integers(0, 30), data=st.data())
+def test_convex_scale_equals_reference(layout, slack, data):
+    # the library bisects on the member's own grid, the reference on the
+    # all-zeros corner's
     regime, lengths, eps = layout
-    k = sum(lengths) + slack
+    r, k = len(lengths), sum(lengths) + slack
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
     want = ref_convex_scale(regime == Regime.CONVEX_LARGE_K, lengths, k, eps)
     if want is None:
         with pytest.raises(InfeasibleSpec):
-            _convex_scale(regime, lengths, k, eps)
+            _scale(regime, lengths, k, eps, bits)
     else:
-        assert _convex_scale(regime, lengths, k, eps) == want
+        assert (_scale(regime, lengths, k, eps, bits), _q(r)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(large=st.booleans(), eps=_EPS, slack=st.integers(0, 30), data=st.data())
+def test_convex_member_equals_reference(large, eps, slack, data):
+    # the member's own grid at the scale the zeros corner's reference
+    # bisection gives, in units of 2**-q
+    r = data.draw(st.integers(1, 6 if large else 20))
+    lengths = _triple_bins(r, eps, _NO_CAP) if large else (3,) * r
+    q, k = _q(r), sum(lengths) + slack
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
+    want = ref_convex_scale(large, lengths, k, eps)
+    spec = HypercubeSpec(CLK if large else Regime.CONVEX_SMALL_K, 100, k, r, eps, bits)
+    got = assouad_density(spec).mass.tolist()
+    assert got == [v * 2.0**-q for v in ref_convex_grid(large, lengths, k, eps, bits, want[0], q)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -410,7 +438,7 @@ def test_convex_total_equals_grid_sum(layout, data):
         scale = 0.0
     elif which == "tuned":
         try:
-            scale = _convex_scale(regime, lengths, k, eps)[0]
+            scale = _scale(regime, lengths, k, eps)
         except InfeasibleSpec:
             scale = top
     elif which == "top":
@@ -419,15 +447,19 @@ def test_convex_total_equals_grid_sum(layout, data):
         scale = (2 * data.draw(st.integers(0, 2**20)) + 1) * 2.0 ** -(q + 1)
     else:
         scale = data.draw(st.floats(0.0, top))
-    at = _grid_at_scale(regime, lengths, k, eps, (0,) * r, q)
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
+    at = _grid_at_scale(regime, lengths, k, eps, bits, q)
     assert at.total(scale) == sum(at(scale).tolist())
+    # the total does not depend on theta: assouad_density bisects on the
+    # member's own grid and every corner gets the same scale
+    assert at.total(scale) == _grid_at_scale(regime, lengths, k, eps, (0,) * r, q).total(scale)
 
 
 def test_convex_scale_memory_does_not_grow_with_k():
     # each bisection step once built a k-atom int64 grid and a k-int list
     tracemalloc.start()
     try:
-        _convex_scale(Regime.CONVEX_SMALL_K, (3, 3, 3), 10**6, 0.5)
+        _scale(Regime.CONVEX_SMALL_K, (3, 3, 3), 10**6, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

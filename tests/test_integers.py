@@ -91,6 +91,22 @@ def test_bools_are_not_integers():
         F(True)
 
 
+@pytest.mark.parametrize(
+    "counts", [[True, False], np.array([True, False]), np.array([1, 0], dtype=bool)], ids=repr
+)
+def test_bool_counts_are_not_integers(counts):
+    # a bool array was taken as counts [1, 0]
+    with pytest.raises(BadParam, match="counts must be finite integers"):
+        SampleCounts(2, 1, counts)
+
+
+@pytest.mark.parametrize("arity", [2.0, 3.0, True, "2", None, 4, np.float64(2)], ids=repr)
+def test_arity_must_be_the_integer_2_or_3(arity):
+    # pad_to_power(5, 2.0) returned 8.0
+    with pytest.raises(BadParam, match="^arity must be 2 or 3$"):
+        pad_to_power(5, arity)
+
+
 @pytest.mark.parametrize("v", [3, np.int64(3), np.uint8(3)], ids=repr)
 def test_python_and_numpy_integers_pass(v):
     _check_int("v", v, 3, 3)

@@ -40,6 +40,9 @@ def test_candidate_set_validation():
             CandidateSet(bad)
     with pytest.raises(DomainMismatch, match="candidate 1 lives on 5 atoms, candidate 0 on 4"):
         CandidateSet([family("uniform", 4), family("uniform", 5)])
+    # labels that are not iterable were a bare TypeError
+    with pytest.raises(BadParam, match="labels"):
+        CandidateSet([family("uniform", 4)] * 2, 5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -8,6 +8,7 @@ from treedens import (
     BadParam,
     BadParams,
     DomainMismatch,
+    NegativeMass,
     RateBranch,
     TooLarge,
     assouad_lower_bound,
@@ -80,6 +81,15 @@ def test_hellinger_affinity_values():
     assert got == pytest.approx(math.sqrt(0.125) + math.sqrt(0.375), abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, g", [([0.5, 0.5], [-0.5, 1.5]), ([-1, 2], [-1, 0])])
+def test_hellinger_affinity_rejects_a_negative_atom(f, g):
+    # the first was a RuntimeWarning and nan, the second 1.0
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(NegativeMass):
+            hellinger_affinity(a, b)
+
+
 def test_assouad_lower_bound_arithmetic():
     assert assouad_lower_bound(4, 0.1, 1.0, 50) == pytest.approx(0.1, abs=1e-15)
     # 1 - beta >= 1/(2n) makes the bracket nonpositive: clamped to zero
@@ -107,6 +117,13 @@ def test_assouad_lower_bound_rejects_alpha_past_one():
     with pytest.raises(BadParams, match="alpha"):
         assouad_lower_bound(1, math.nextafter(1.0, 2.0), 0.9, 10)
     assert assouad_lower_bound(4, 1.0, 1.0, 1) == 1.0
+
+
+@pytest.mark.parametrize("alpha, beta", [("x", 0.5), (0.5, "x"), (None, 0.5), (0.5, [1.0])])
+def test_assouad_lower_bound_rejects_a_non_number(alpha, beta):
+    # each was a bare TypeError from the range comparison
+    with pytest.raises(BadParams, match="alpha" if alpha != 0.5 else "beta"):
+        assouad_lower_bound(2, alpha, beta, 10)
 
 
 def test_rate_monotone_small_branch():

@@ -209,6 +209,13 @@ def test_rate_scaling_rejects_a_bool_grid_point():
         rate_scaling("oracle", "uniform", [True, 2, 3], 4, 2, 0)
 
 
+@pytest.mark.parametrize("builder", [None, 3, b"uniform"])
+def test_rate_scaling_rejects_a_builder_that_is_neither_name_nor_callable(builder):
+    # each was a bare TypeError from calling it
+    with pytest.raises(BadParam, match="density_builder"):
+        rate_scaling("oracle", builder, [10, 20, 30], 8, 2, 0)
+
+
 def test_rate_scaling_empirical_slope_near_half():
     res = rate_scaling(
         "empirical-histogram", "uniform", [100, 1000, 10000], 2, 100, 12

@@ -206,6 +206,13 @@ def test_subsets_to_masks_reject_non_integral_indices(subset):
         subsets_to_masks([subset], 3)
 
 
+@pytest.mark.parametrize("subset", [[[1]], np.array([[1, 2]]), [[1], [2]]], ids=repr)
+def test_subsets_to_masks_reject_an_index_array_that_is_not_flat(subset):
+    # [[1]] was read as the set {1}
+    with pytest.raises(BadParam, match="flat"):
+        subsets_to_masks([subset], 3)
+
+
 def test_sup_deviation_rejects_non_integral_indices():
     f = family("uniform", 3)
     sc = SampleCounts(k=3, n=10, counts=np.array([7, 3, 0]))
