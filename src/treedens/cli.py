@@ -239,7 +239,7 @@ def _cmd_assouad(args) -> str | dict:
         "alpha": alpha,
         "beta": beta,
         "lower_bound": bound,
-        "density": json.loads(f.to_json()),
+        "density": {"k": f.k, "mass": f.mass.tolist()},
     }
 
 

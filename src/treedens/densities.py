@@ -312,13 +312,11 @@ def family(name: str, k: int, param: float | None = None) -> DiscreteDensity:
     also convex non-increasing ("harmonic-zipf" is convex since 1/x is).
     """
     _check_int("k", k, 1)
+    if param is not None and name in (UNIFORM, HARMONIC_ZIPF, LINEAR_DECREASING):
+        raise BadParam(f"{name} takes no parameter")
     if name == UNIFORM:
-        if param is not None:
-            raise BadParam("uniform takes no parameter")
         mass = np.full(k, 1.0 / k)
     elif name == HARMONIC_ZIPF:
-        if param is not None:
-            raise BadParam("harmonic-zipf takes no parameter")
         mass = 1.0 / np.arange(1, k + 1, dtype=float)
         mass /= _fsum(mass)
     elif name == TRUNC_GEOMETRIC:
@@ -329,8 +327,6 @@ def family(name: str, k: int, param: float | None = None) -> DiscreteDensity:
         mass = param ** np.arange(k, dtype=float)
         mass /= _fsum(mass)
     elif name == LINEAR_DECREASING:
-        if param is not None:
-            raise BadParam("linear-decreasing takes no parameter")
         # mass[x] = (k + 1 - x) c 2**-q with c ~ 2**30: for k <= 2**22 every
         # value is an integer below 2**53 times 2**-q, so the second
         # differences are exactly 0 and the family is exactly convex

@@ -454,10 +454,11 @@ def assouad_density(spec: HypercubeSpec) -> DiscreteDensity:
 def assouad_alpha_beta(spec: HypercubeSpec) -> tuple[float, float]:
     """Per-coordinate separation alpha and affinity floor beta for the family.
 
-    alpha lower-bounds the TV distance restricted to one bin between the two
-    settings of that bin's bit; beta lower-bounds the Hellinger affinity of
-    the full densities across a single bit flip.  Both feed the two-point
-    risk bound reported by assouad_lower_bound.
+    alpha lower-bounds the L1 distance restricted to one bin between the two
+    settings of that bin's bit, which is twice the per-bin TV distance, so a
+    bit flip moves the TV by at least alpha / 2; beta lower-bounds the
+    Hellinger affinity of the full densities across a single bit flip.  Both
+    feed the two-point risk bound reported by assouad_lower_bound.
     """
     r, eps = spec.r, spec.epsilon
     if spec.regime == Regime.MONOTONE_LARGE_K:

@@ -99,11 +99,13 @@ def assouad_lower_bound(r: int, alpha: float, beta: float, n: int) -> float:
     """Two-point minimax risk bound (r alpha / 4)(1 - sqrt(2 n (1 - beta))).
 
     r is the number of independent coordinates, alpha the per-coordinate
-    separation, a TV distance and so at most 1, beta the single-flip
-    affinity floor, n the sample size.  Clamped at zero: a vacuous bound is
-    reported as 0 rather than negative.
+    separation, a lower bound on the per-bin L1 distance (twice the per-bin
+    TV), beta the single-flip affinity floor, n the sample size.  Clamped at
+    zero: a vacuous bound is reported as 0 rather than negative.
     """
     _check_int("r", r, 1, None, BadParams)
+    # open question: alpha is a per-bin L1 distance, which can reach 2, so
+    # the cap of 1 below may refuse a valid alpha
     if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
         raise BadParams(f"need alpha in (0, 1], got {alpha!r}")
     if not (isinstance(beta, numbers.Real) and 0.0 < beta <= 1.0):

@@ -190,6 +190,8 @@ def _build_tree(arity: int, values: np.ndarray, total, rule) -> PartitionTree:
     cannot hit recursion limits; children are pushed right to left, so
     leaves come off the stack in left-to-right order.
     """
+    if total < 1:
+        raise BadParam("need at least one sample")
     padded_k = pad_to_power(values.size, arity)
     at = _totals(values, total, padded_k)
     spans: list[tuple[int, int]] = []
@@ -215,8 +217,6 @@ def _build_tree(arity: int, values: np.ndarray, total, rule) -> PartitionTree:
 def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
     """The sample-driven binary tree: split where the halves' counts differ
     by more than a standard deviation's worth."""
-    if sc.n < 1:
-        raise BadParam("need at least one sample")
     return _build_tree(2, sc.counts, sc.n, greedy_split_decision)
 
 
@@ -231,8 +231,6 @@ def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
 
 def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
     """Sample-driven ternary tree splitting on the thirds' count curvature."""
-    if sc.n < 1:
-        raise BadParam("need at least one sample")
     return _build_tree(3, sc.counts, sc.n, greedy_ternary_split_decision)
 
 

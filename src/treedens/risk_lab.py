@@ -37,7 +37,7 @@ from .errors import (
     UnknownEstimator,
 )
 from .hypercubes import HypercubeSpec, Regime, assouad_default_params, assouad_density
-from .metrics import tv
+from .metrics import _atoms, tv
 from .partition_trees import (
     PiecewiseEstimate,
     build_greedy_binary,
@@ -90,17 +90,12 @@ def _idealized_ternary(f: DiscreteDensity, n: int, sc: SampleCounts | None):
     return t, idealized_pl_estimate(t, f)
 
 
-def _atom_values(fitted) -> np.ndarray:
-    tree, estimate = fitted
-    return estimate if tree is None else estimate.atom_values()
-
-
 def _estimator(name: str, fit, count_free: bool):
     """The registry callable (truth, sample) -> atom values of one fit,
     carrying the fit as _fit and its count-free flag as _count_free."""
 
     def values(f: DiscreteDensity, sc: SampleCounts) -> np.ndarray:
-        return _atom_values(fit(f, sc.n, sc))
+        return _atoms(fit(f, sc.n, sc)[1])
 
     values.__name__, values._fit, values._count_free = name, fit, count_free
     return values
@@ -236,7 +231,7 @@ def mc_risk(
         raise BadParam(f"the truth must be a DiscreteDensity, got {type(f).__name__}")
 
     if fit is not None:
-        losses = [tv(f.mass, _atom_values(fit(f, n, None)))] * reps
+        losses = [tv(f.mass, fit(f, n, None)[1])] * reps
     else:
         losses = [0.0] * reps
 

@@ -146,8 +146,15 @@ def subsets_to_masks(sets, k: int) -> np.ndarray:
     they equal.
     """
     rows = []
+    try:
+        sets = iter(sets)
+    except TypeError:
+        raise BadParam(f"sets must be a collection of atom subsets, got {sets!r}") from None
     for s in sets:
-        arr = np.asarray(list(s) if not isinstance(s, np.ndarray) else s)
+        try:
+            arr = np.asarray(list(s) if not isinstance(s, np.ndarray) else s)
+        except (TypeError, ValueError):
+            raise BadParam(f"an atom subset must be a flat collection, got {s!r}") from None
         if arr.dtype == bool:
             if arr.shape != (k,):
                 raise BadParam(f"boolean mask must have length {k}")

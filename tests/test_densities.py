@@ -134,6 +134,14 @@ def test_trunc_geometric_param():
 def test_family_rejects_unknown():
     with pytest.raises(BadParam):
         family("no-such-family", 4)
+    with pytest.raises(BadParam, match="unknown family"):
+        family("no-such-family", 4, 0.5)
+
+
+@pytest.mark.parametrize("name", ["uniform", "harmonic-zipf", "linear-decreasing"])
+def test_parameter_free_families_reject_a_parameter(name):
+    with pytest.raises(BadParam, match=f"^{name} takes no parameter$"):
+        family(name, 4, 0.5)
 
 
 def test_call_bounds():

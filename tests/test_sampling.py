@@ -190,6 +190,9 @@ def test_subsets_to_masks_accepts_masks_and_indices():
     a = subsets_to_masks([{1, 3}], 3)
     b = subsets_to_masks([[True, False, True]], 3)
     assert np.array_equal(a, b)
+    # subsets of different sizes give one row each
+    got = subsets_to_masks([[1], [2, 3]], 3)
+    assert got.tolist() == [[True, False, False], [False, True, True]]
     with pytest.raises(OutOfRange):
         subsets_to_masks([{0}], 3)
     with pytest.raises(OutOfRange):
@@ -211,6 +214,18 @@ def test_subsets_to_masks_reject_an_index_array_that_is_not_flat(subset):
     # [[1]] was read as the set {1}
     with pytest.raises(BadParam, match="flat"):
         subsets_to_masks([subset], 3)
+
+
+@pytest.mark.parametrize("sets", [[[1, [2, 3]]], [5], 5], ids=repr)
+def test_subsets_to_masks_reject_malformed_subsets(sets):
+    # a ragged subset was numpy's bare ValueError, and a subset or
+    # collection that is not iterable a bare TypeError
+    with pytest.raises(BadParam):
+        subsets_to_masks(sets, 3)
+    f = family("uniform", 3)
+    sc = SampleCounts(k=3, n=10, counts=np.array([7, 3, 0]))
+    with pytest.raises(BadParam):
+        empirical_sup_deviation(sc, f, sets)
 
 
 def test_sup_deviation_rejects_non_integral_indices():

@@ -506,3 +506,9 @@ def test_tree_json_shape():
     assert payload["arity"] == 2
     assert payload["padded_k"] == 4
     assert {tuple(sorted(d)) for d in payload["leaves"]} == {("len", "start")}
+
+
+@pytest.mark.parametrize("build", [build_greedy_binary, build_greedy_ternary])
+def test_greedy_trees_refuse_an_empty_sample(build):
+    with pytest.raises(BadParam, match="need at least one sample"):
+        build(SampleCounts(4, 0, [0, 0, 0, 0]))
