@@ -7,8 +7,8 @@ claiming membership has to earn it in actual float arithmetic.
 
 Every size, count, seed and atom index in the package passes one rule,
 _check_int: an integer (a numbers.Integral, never a bool) within its
-site's bounds, or the site's TreedensError.  A size that makes an array
-stops at _MAX_SIZE; sample counts, spec sizes and rate inputs do not.
+site's bounds, kept as the Python int it returns, else a TreedensError.
+Array sizes stop at _MAX_SIZE; counts, spec sizes and rate inputs do not.
 """
 
 from __future__ import annotations
@@ -59,21 +59,21 @@ class DiscreteDensity:
     mass: np.ndarray
 
     def __post_init__(self):
-        _check_int("k", self.k, 1)
+        k = _check_int("k", self.k, 1)
         # own copy, frozen: instances are shared across threads unguarded
         try:
             m = np.array(self.mass, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadParam(f"mass must be a vector of numbers: {exc}") from None
-        if m.shape != (self.k,):
-            raise BadParam(f"mass must be a length-{self.k} vector")
+        if m.shape != (k,):
+            raise BadParam(f"mass must be a length-{k} vector")
         if not np.all(np.isfinite(m)):
             raise BadParam("mass has a NaN or infinite entry")
         if np.any(m < 0):
             raise NegativeMass("mass has a negative entry")
         with np.errstate(over="ignore"):  # an overflowing total goes to fsum
             s = float(m.sum())
-        if not _sum_decides(s, self.k):
+        if not _sum_decides(s, k):
             try:
                 total = _fsum(m)
             except OverflowError:  # the exact total is past the largest float
@@ -81,12 +81,11 @@ class DiscreteDensity:
             if abs(total - 1.0) > NORMALIZATION_TOL:
                 raise NotNormalized(f"mass sums to {total!r}, not 1")
         m.setflags(write=False)
-        object.__setattr__(self, "mass", m)
+        self.__dict__.update(k=k, mass=m)
 
     def __call__(self, x: int) -> float:
         """Mass of atom x (1-based)."""
-        _check_int("atom", x, 1, self.k, DomainMismatch)
-        return float(self.mass[x - 1])
+        return float(self.mass[_check_int("atom", x, 1, self.k, DomainMismatch) - 1])
 
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "mass": self.mass.tolist()})
@@ -177,9 +176,9 @@ def _json_value(o, nl: str) -> str:
     return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
-def _check_int(name: str, v, low, high=_MAX_SIZE, error=BadParam) -> None:
-    """The package's one integer rule: raise error unless v is an integer
-    with low <= v <= high, a bound of None being no bound.
+def _check_int(name: str, v, low, high=_MAX_SIZE, error=BadParam) -> int:
+    """The package's one integer rule: v as the Python int it equals if v
+    is an integer with low <= v <= high (None: no bound), else raise error.
 
     An integer is a numbers.Integral other than a bool, so numpy integers
     pass and floats, strings, None and True do not.  The type and the upper
@@ -194,6 +193,7 @@ def _check_int(name: str, v, low, high=_MAX_SIZE, error=BadParam) -> None:
         raise error(f"{name} must be an integer{bound}, got {v!r}")
     if low is not None and v < low:
         raise error(f"{name} must be >= {low}, got {v!r}")
+    return int(v)
 
 
 def _fsum(a: np.ndarray) -> float:
@@ -254,7 +254,7 @@ def density_from_json(text: str) -> DiscreteDensity:
         mass, k = obj["mass"], obj["k"]
     except (ValueError, KeyError, TypeError) as exc:
         raise BadParam(f"density JSON needs k and mass fields: {exc!r}") from None
-    _check_int("k", k, 1)
+    k = _check_int("k", k, 1)
     d = make_density(mass)
     if d.k != k:
         raise DomainMismatch("k field disagrees with mass length")
@@ -311,7 +311,7 @@ def family(name: str, k: int, param: float | None = None) -> DiscreteDensity:
     All four families are non-increasing; all but some harmonic cases are
     also convex non-increasing ("harmonic-zipf" is convex since 1/x is).
     """
-    _check_int("k", k, 1)
+    k = _check_int("k", k, 1)
     if param is not None and name in (UNIFORM, HARMONIC_ZIPF, LINEAR_DECREASING):
         raise BadParam(f"{name} takes no parameter")
     if name == UNIFORM:

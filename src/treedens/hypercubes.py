@@ -130,13 +130,14 @@ class HypercubeSpec:
     n is the sample size the family is tuned against; it does not affect
     the construction itself, only default parameter choices and the value
     of the resulting bound.  Validation checks that n, k and r are
-    integers and epsilon a real number, the regime's epsilon range, that
-    the r bins fit inside {1, ..., k}, and the bit vector; the bin layout
-    is frozen into ``bin_lengths``.  The fit is checked against the
-    shortest possible bins (2 or 3 atoms each) before theta is read or any
-    bin is built, so a huge r fails in O(1), and the growing large-k
-    layouts stop as soon as their running total passes k, so an infeasible
-    r builds at most about k/2 bins.
+    integers and epsilon a real number, stored as the Python ints and float
+    they equal, the regime's epsilon range, that the r bins fit inside
+    {1, ..., k}, and the bit vector; the bin layout is frozen into
+    ``bin_lengths``.  The fit is checked against the shortest possible bins
+    (2 or 3 atoms each) before theta is read or any bin is built, so a huge
+    r fails in O(1), and the growing large-k layouts stop as soon as their
+    running total passes k, so an infeasible r builds at most about k/2
+    bins.
     """
 
     regime: Regime
@@ -150,11 +151,12 @@ class HypercubeSpec:
     def __post_init__(self):
         # no upper bound: a spec builds no array, and specs are built at k = 10**400
         for name in ("n", "k", "r"):
-            _check_int(name, getattr(self, name), 1, None)
+            self.__dict__[name] = _check_int(name, getattr(self, name), 1, None)
         if not isinstance(self.epsilon, numbers.Real):
             raise BadParam(f"epsilon must be a real number, got {self.epsilon!r}")
-        eps = float(self.epsilon)
-        object.__setattr__(self, "regime", _regime(self.regime))
+        # every regime's range lies in (0, 1); float() of a huge int overflows
+        eps = float(self.epsilon) if abs(self.epsilon) < 2 else math.inf
+        self.__dict__.update(epsilon=eps, regime=_regime(self.regime))
         in_range, accepted, width, layout = _REGIMES[self.regime]
         if not in_range(eps):
             raise InfeasibleSpec(f"epsilon must lie in {accepted}")
@@ -165,12 +167,10 @@ class HypercubeSpec:
             bits = ()
         if len(bits) != self.r:
             raise BadParam(f"theta must be a vector of {self.r} bits")
-        for b in bits:
-            _check_int("theta bit", b, 0, 1)
-        object.__setattr__(self, "theta", tuple(map(int, bits)))
+        self.__dict__["theta"] = tuple(_check_int("theta bit", b, 0, 1) for b in bits)
         lengths = (width,) * self.r if layout is None else layout(self.r, eps, self.k)
         self._fits(sum(lengths))
-        object.__setattr__(self, "bin_lengths", lengths)
+        self.__dict__["bin_lengths"] = lengths
 
     def _fits(self, need: int, at_least: bool = False) -> None:
         if need > self.k:
@@ -196,8 +196,8 @@ def assouad_default_params(regime: Regime, n: int, k: int) -> tuple[int, float]:
     smallest integer in it is returned.
     """
     regime = _regime(regime)
-    _check_int("n", n, 1, None)
-    _check_int("k", k, 1, None)
+    n = _check_int("n", n, 1, None)
+    k = _check_int("k", k, 1, None)
     try:
         if regime == Regime.MONOTONE_LARGE_K:
             n3 = n ** (1.0 / 3.0)

@@ -103,14 +103,14 @@ def assouad_lower_bound(r: int, alpha: float, beta: float, n: int) -> float:
     TV), beta the single-flip affinity floor, n the sample size.  Clamped at
     zero: a vacuous bound is reported as 0 rather than negative.
     """
-    _check_int("r", r, 1, None, BadParams)
+    r = _check_int("r", r, 1, None, BadParams)
     # open question: alpha is a per-bin L1 distance, which can reach 2, so
     # the cap of 1 below may refuse a valid alpha
     if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
         raise BadParams(f"need alpha in (0, 1], got {alpha!r}")
     if not (isinstance(beta, numbers.Real) and 0.0 < beta <= 1.0):
         raise BadParams(f"need beta in (0, 1], got {beta!r}")
-    _check_int("n", n, 1, None, BadParams)
+    n = _check_int("n", n, 1, None, BadParams)
     try:
         return max(0.0, (r * alpha / 4.0) * (1.0 - math.sqrt(2.0 * n * (1.0 - beta))))
     except OverflowError:
@@ -135,8 +135,8 @@ class RateRegime:
 
 
 def _rate(shape_class: str, n: int, k: int, root: int, log_base: float, mid_exp: float) -> RateRegime:
-    _check_int("n", n, 1, None, BadParams)
-    _check_int("k", k, 2, None, BadParams)
+    n = _check_int("n", n, 1, None, BadParams)
+    k = _check_int("k", k, 2, None, BadParams)
     # only the large-k branch reads an n or k past the float range
     try:
         pivot = n ** (1.0 / root)
@@ -187,8 +187,8 @@ def vc_unions_intervals_brute(ell: int, m: int) -> int:
     subset.  The answer is min(m, 2 ell); the search exists to certify that
     independently.  Capped at ell <= 4, m <= 24.
     """
-    _check_int("ell", ell, 1, None, BadParams)
-    _check_int("m", m, 1, None, BadParams)
+    ell = _check_int("ell", ell, 1, None, BadParams)
+    m = _check_int("m", m, 1, None, BadParams)
     if ell > _VC_ELL_CAP or m > _VC_M_CAP:
         raise TooLarge(f"caps are ell <= {_VC_ELL_CAP}, m <= {_VC_M_CAP}")
 

@@ -18,13 +18,13 @@ can shave off mass that a boundary leaf spread onto padded atoms, so
 estimates built on a padded domain may be sub-normalized; each builder
 takes a renormalize flag (default off) to rescale explicitly instead of
 hiding the adjustment.  Like a tree, an estimate is flat data: one tuple
-per piece field, each value kept exactly as given.  The builders and
-monotonize read and write those columns; Piece records are made only when
-an estimate's .pieces is read.
+per piece field, of Python ints and floats as Piece stores them.  The
+builders and monotonize read and write those columns; Piece records are
+made only when an estimate's .pieces is read.
 
-monotonize pools adjacent violators in exact arithmetic: the piece values
-become integers on one common scale, so merged averages are correctly
-rounded and independent of merge order.
+monotonize pools adjacent violators in exact arithmetic: the float piece
+values become integers on one common power-of-two scale, so merged
+averages are correctly rounded and independent of merge order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
@@ -62,10 +61,10 @@ from .sampling import SampleCounts
 def pad_to_power(k: int, arity: int) -> int:
     """Smallest power of the arity at least k."""
     try:
-        _check_int("arity", arity, 2, 3)
+        arity = _check_int("arity", arity, 2, 3)
     except BadParam:
         raise BadParam("arity must be 2 or 3") from None
-    _check_int("k", k, 1, None)
+    k = _check_int("k", k, 1, None)
     padded = 1
     while padded < k:
         padded *= arity
@@ -101,25 +100,24 @@ class PartitionTree:
     spans: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _check_int("padded_k", self.padded_k, 1)
-        if pad_to_power(self.padded_k, self.arity) != self.padded_k:  # checks the arity
-            raise BadParam(f"padded_k {self.padded_k} is not a power of {self.arity}")
+        padded_k = _check_int("padded_k", self.padded_k, 1)
+        if pad_to_power(padded_k, self.arity) != padded_k:  # checks the arity
+            raise BadParam(f"padded_k {padded_k} is not a power of {self.arity}")
         try:
             spans = [(start, length) for start, length in self.spans]
         except (TypeError, ValueError):
             raise BadParam(f"spans must be (start, length) pairs, got {self.spans!r}") from None
         pos = 1
-        for start, length in spans:
-            _check_int("span start", start, 1)
-            _check_int("span length", length, 1)
+        for i, (start, length) in enumerate(spans):
+            start = _check_int("span start", start, 1)
+            length = _check_int("span length", length, 1)
             if start != pos or (start - 1) % length or pad_to_power(length, self.arity) != length:
                 raise BadParam(f"span {(start, length)} is not an aligned leaf at atom {pos}")
+            spans[i] = start, length
             pos += length
-        if pos != self.padded_k + 1:
-            raise BadParam(f"spans cover 1..{pos - 1}, padded domain is 1..{self.padded_k}")
-        # Python ints, as the builders make them: json writes no numpy integer
-        spans = tuple((int(start), int(length)) for start, length in spans)
-        self.__dict__.update(arity=int(self.arity), padded_k=int(self.padded_k), spans=spans)
+        if pos != padded_k + 1:
+            raise BadParam(f"spans cover 1..{pos - 1}, padded domain is 1..{padded_k}")
+        self.__dict__.update(arity=int(self.arity), padded_k=padded_k, spans=tuple(spans))
 
     @classmethod
     def _trusted(cls, arity: int, padded_k: int, spans: tuple) -> PartitionTree:
@@ -223,7 +221,7 @@ def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
 def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
     """The deterministic binary tree the greedy one imitates: counts are
     replaced by their expectations under f at sample size n."""
-    _check_int("n", n, 1, None)
+    n = _check_int("n", n, 1, None)
     if not is_non_increasing(f):
         raise NotMonotone("the idealized binary tree needs a non-increasing density")
     return _build_tree(2, f.mass, 1, lambda fv, fw: fv - fw > math.sqrt((fv + fw) / n))
@@ -237,7 +235,7 @@ def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
 def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
     """Deterministic ternary tree splitting where f's interval masses have
     curvature above the sampling noise scale."""
-    _check_int("n", n, 1, None)
+    n = _check_int("n", n, 1, None)
     if not is_convex_non_increasing(f):
         raise NotConvex("the idealized ternary tree needs a convex non-increasing density")
     return _build_tree(
@@ -253,15 +251,12 @@ def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
 # ---------------------------------------------------------------------------
 
 
-# real numbers: numbers.Real, and the Decimal and numpy bool it leaves out,
-# which monotonize pools or rejects itself
-_REAL = (numbers.Real, Decimal, np.bool_)
-
-
 @dataclass(frozen=True)
 class Piece:
     """One span of an estimate: constant value, or a line slope*x + intercept
-    evaluated at the integer atoms it covers."""
+    evaluated at the integer atoms it covers.  start and length are kept as
+    the ints _check_int returns, and value, slope and intercept, which must
+    be numbers.Real (a Decimal or numpy bool is not), as float(v)."""
 
     start: int
     length: int
@@ -273,11 +268,16 @@ class Piece:
     def __post_init__(self):
         if self.kind not in ("constant", "linear"):
             raise BadParam(f"unknown piece kind {self.kind!r}")
-        _check_int("start", self.start, 1)
-        _check_int("length", self.length, 1)
+        for name in ("start", "length"):
+            self.__dict__[name] = _check_int(name, getattr(self, name), 1)
         for name in ("value", "slope", "intercept"):
-            if not isinstance(getattr(self, name), _REAL):
-                raise BadParam(f"piece {name} must be a real number, got {getattr(self, name)!r}")
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real):
+                raise BadParam(f"piece {name} must be a real number, got {v!r}")
+            try:
+                self.__dict__[name] = float(v)
+            except OverflowError:
+                raise BadParam(f"piece {name} is past the float range") from None
 
     def atom_values(self) -> np.ndarray:
         if self.kind == "constant":
@@ -296,17 +296,16 @@ class PiecewiseEstimate:
 
     The estimate is kept flat, one tuple per piece field in left-to-right
     order, the fields being the columns below; linear is True for a line
-    slope*x + intercept and False for a constant.  Every field is kept
-    exactly as given, so a Python int value stays an int, and Piece
-    records are built only when .pieces is read.  Equality and hashing
-    compare the domain and the columns, which is the same as comparing
-    the pieces.
+    slope*x + intercept and False for a constant.  Every field holds the
+    Python ints and floats a Piece stores, and Piece records are built
+    only when .pieces is read.  Equality and hashing compare the domain
+    and the columns, which is the same as comparing the pieces.
 
-    PiecewiseEstimate(domain_k, pieces) checks that the pieces tile the
-    domain consecutively.  It does not police value signs: the estimators
-    here produce values >= 0 up to float error at the scales they are
-    specified for, and that property is asserted in tests rather than
-    silently repaired.
+    PiecewiseEstimate(domain_k, pieces) takes Piece records only and checks
+    that they tile the domain consecutively.  It does not police value
+    signs: the estimators here produce values >= 0 up to float error at
+    the scales they are specified for, and that property is asserted in
+    tests rather than silently repaired.
     """
 
     domain_k: int
@@ -318,8 +317,13 @@ class PiecewiseEstimate:
     intercepts: tuple
 
     def __init__(self, domain_k: int, pieces):
-        _check_int("domain_k", domain_k, 1)
-        pieces = tuple(pieces)
+        domain_k = _check_int("domain_k", domain_k, 1)
+        try:
+            pieces = tuple(pieces)
+        except TypeError:
+            pieces = None
+        if pieces is None or not all(isinstance(p, Piece) for p in pieces):
+            raise BadParam("pieces must be an iterable of Piece records")
         if not pieces:
             raise BadParam("an estimate needs at least one piece")
         pos = 1
@@ -345,10 +349,10 @@ class PiecewiseEstimate:
     @classmethod
     def from_atom_values(cls, domain_k: int, values) -> PiecewiseEstimate:
         """One constant piece per atom, with value float(values[x - 1])."""
-        _check_int("domain_k", domain_k, 1)
+        domain_k = _check_int("domain_k", domain_k, 1)
         try:
             values = tuple(map(float, np.asarray(values).tolist()))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadParam(f"atom values must be numbers: {exc}") from None
         m = len(values)
         if not m:
@@ -385,7 +389,7 @@ class PiecewiseEstimate:
         return vals
 
     def __call__(self, x: int) -> float:
-        _check_int("atom", x, 1, self.domain_k, DomainMismatch)
+        x = _check_int("atom", x, 1, self.domain_k, DomainMismatch)
         i = bisect_right(self.starts, x) - 1
         if self.linear[i]:
             return self.slopes[i] * x + self.intercepts[i]
@@ -549,36 +553,26 @@ def greedy_pl_estimate(
     return _scaled(est, renormalize)
 
 
-def _ratio(v) -> tuple[int, int]:
-    """v as an exact (numerator, denominator) pair.  Integers without
-    as_integer_ratio, such as numpy's, are the ints they equal; infinities
-    and NaN have no ratio and are rejected."""
-    if hasattr(v, "as_integer_ratio"):
-        try:
-            return v.as_integer_ratio()
-        except (OverflowError, ValueError):
-            raise BadParam(f"piece value {v!r} is not finite") from None
-    if isinstance(v, numbers.Integral):
-        return int(v), 1
-    raise BadParam(f"piece value {v!r} has no exact ratio")
-
-
 def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
     """Pool adjacent violators over the pieces, weighted by length.
 
     Merging two pieces replaces them by their length-weighted average, and
     iterating to a fixed point gives the same answer in every merge order.
     To honor that uniqueness in floats, the pooling arithmetic is exact:
-    every value is an integer over the values' least common denominator
-    (a power of two for floats), so block totals are Python ints.  Pieces
-    that survive unmerged keep their value exactly as given, and a merged
-    block rounds once at the end, by correctly rounded integer division.
+    every value is a float, an integer over one common power-of-two
+    denominator, so block totals are Python ints.  Pieces that survive
+    unmerged keep their float, and a merged block rounds once at the end,
+    by correctly rounded integer division.
     The result's pieces are constant with zero slope and intercept.
     """
     if any(e.linear):
         raise NotPiecewiseConstant("monotonize applies to piecewise-constant estimates")
     values, lengths = e.values, e.lengths
-    ratios = [_ratio(v) for v in values]
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):  # infinities and NaN have no ratio
+        bad = next(v for v in values if not math.isfinite(v))
+        raise BadParam(f"piece value {bad!r} is not finite") from None
     den = math.lcm(*[d for _, d in ratios])
     # block: [first piece index, last piece index, atom length, total * den]
     blocks: list[list] = []

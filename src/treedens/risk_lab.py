@@ -223,10 +223,10 @@ def mc_risk(
     drawn; a custom callable always runs per replication.
     """
     name, fn, fit = _resolve(estimator)
-    _check_int("reps", reps, 1)
-    _check_int("threads", threads, 1)
-    _check_int("n", n, 0, None)
-    _check_int("master_seed", master_seed, None, None)
+    reps = _check_int("reps", reps, 1)
+    threads = _check_int("threads", threads, 1)
+    n = _check_int("n", n, 0, None)
+    master_seed = _check_int("master_seed", master_seed, None, None)
     if not isinstance(f, DiscreteDensity):
         raise BadParam(f"the truth must be a DiscreteDensity, got {type(f).__name__}")
 
@@ -372,7 +372,7 @@ def rate_scaling(
     derived master seed, so growing the grid does not reshuffle earlier
     points.
     """
-    _check_int("seed", seed, None, None)
+    seed = _check_int("seed", seed, None, None)
     n_grid = [_grid_point(v) for v in n_grid]
     if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DegenerateGrid(

@@ -36,8 +36,8 @@ def derive_seed(master_seed: int, replication: int) -> int:
     """Per-replication seed, mixed so that nearby (master, rep) pairs land
     far apart in seed space.  Used by the Monte Carlo driver so replication
     j is reproducible in isolation, without generating j-1 predecessors."""
-    _check_int("master_seed", master_seed, None, None)
-    _check_int("replication", replication, 0)
+    master_seed = _check_int("master_seed", master_seed, None, None)
+    replication = _check_int("replication", replication, 0)
     x = (master_seed + (replication + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -56,12 +56,12 @@ class SampleCounts:
     counts: np.ndarray
 
     def __post_init__(self):
-        _check_int("k", self.k, 1)
-        _check_int("n", self.n, 0, None)  # counts past 2**63 are kept exactly
+        k = _check_int("k", self.k, 1)
+        n = _check_int("n", self.n, 0, None)  # counts past 2**63 are kept exactly
         try:
             raw = np.asarray(self.counts)
             vals = raw if raw.dtype.kind in "biu" else raw.astype(float)
-        except (TypeError, ValueError) as exc:  # ragged, or not numbers at all
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or too big
             raise BadParam(f"counts must be a vector of integers: {exc}") from None
         # NaN fails both tests; inf and overflow fail the range test; text
         # that parses as numbers is still text, and a bool is no integer
@@ -70,17 +70,15 @@ class SampleCounts:
         ):
             raise BadParam("counts must be finite integers")
         counts = np.ascontiguousarray(raw, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if counts.shape != (self.k,):
-            raise BadParam(f"expected {self.k} counts, got shape {counts.shape}")
+        if counts.shape != (k,):
+            raise BadParam(f"expected {k} counts, got shape {counts.shape}")
         # two plain reductions: np.any(counts < 0) costs as much as both
         if counts.min(initial=0) < 0:
             raise BadParam("counts must be non-negative")
-        total = int(counts.sum())
-        if int(counts.max(initial=0)) * self.k >= 2**63:
-            total = sum(counts.tolist())  # the int64 sum may have wrapped
-        if total != self.n:
-            raise BadParam(f"counts sum to {total}, not n={self.n}")
+        total = _exact_sum(counts)
+        if total != n:
+            raise BadParam(f"counts sum to {total}, not n={n}")
+        self.__dict__.update(k=k, n=n, counts=counts)
 
     @classmethod
     def _trusted(cls, k: int, n: int, counts: np.ndarray) -> SampleCounts:
@@ -106,8 +104,8 @@ def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     The uniforms are sorted and merged against the CDF edges (see the
     module docstring): O(n log n + k log n) time, one 8n-byte buffer.
     """
-    _check_int("n", n, 0)
-    _check_int("seed", seed, 0, None)
+    n = _check_int("n", n, 0)
+    seed = _check_int("seed", seed, 0, None)
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
     return SampleCounts._trusted(density.k, n, _counts_from_uniforms(density.mass, u))
 
@@ -132,9 +130,16 @@ def _counts_from_uniforms(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def interval_count(sc: SampleCounts, start: int, length: int) -> int:
     """Draws landing in the atoms {start, ..., start+length-1}, 1-based."""
-    _check_int("start", start, 1, sc.k, OutOfRange)
-    _check_int("length", length, 1, sc.k - start + 1, OutOfRange)
-    return int(sc.counts[start - 1 : start - 1 + length].sum())
+    start = _check_int("start", start, 1, sc.k, OutOfRange)
+    length = _check_int("length", length, 1, sc.k - start + 1, OutOfRange)
+    return _exact_sum(sc.counts[start - 1 : start - 1 + length])
+
+
+def _exact_sum(counts: np.ndarray) -> int:
+    """sum(counts) of non-negative int64 counts, exact where int64 could wrap."""
+    if int(counts.max(initial=0)) * counts.size >= 2**63:
+        return sum(counts.tolist())
+    return int(counts.sum())
 
 
 def subsets_to_masks(sets, k: int) -> np.ndarray:

@@ -1,33 +1,47 @@
 """The one integer rule: every size, count, seed and atom index goes
 through densities._check_int, and its verdict reaches the caller as a
-TreedensError subclass, never as a bare numpy or Python error."""
+TreedensError subclass, never as a bare numpy or Python error.  The rule
+returns the Python int it validated, and Piece stores the float a real
+number rounds to, so a numpy or other numeric type acts as the plain int
+or float it equals."""
 
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treedens import (
     BadParam,
     BadParams,
     DiscreteDensity,
     DomainMismatch,
+    HypercubeSpec,
+    InfeasibleSpec,
     OutOfRange,
     Piece,
     PiecewiseEstimate,
     Regime,
     SampleCounts,
     assouad_default_params,
+    assouad_density,
     assouad_lower_bound,
     build_idealized_binary,
     derive_seed,
     family,
+    fit_estimate,
     interval_count,
+    make_density,
     mc_risk,
     pad_to_power,
     rate_monotone,
     rate_scaling,
     sample,
+    tv,
     vc_unions_intervals_brute,
 )
 from treedens.densities import _MAX_SIZE, _check_int, density_from_json
@@ -133,3 +147,138 @@ def test_open_bounds_accept_any_integer():
     for v in (-(10**400), 0, 10**400):
         _check_int("v", v, None, None)
     _check_int("v", 10**400, 1, None)
+
+
+_NUMPY_INTEGERS = sorted({np.dtype(c).type for c in np.typecodes["AllInteger"]}, key=repr)
+
+
+@given(
+    st.one_of(
+        st.integers(2**63, 2**200),
+        st.integers(-(2**200), -(2**63) - 1),
+        st.sampled_from(_NUMPY_INTEGERS).flatmap(
+            lambda t: st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)).map(t)
+        ),
+    )
+)
+def test_rule_returns_the_python_int_it_validated(v):
+    r = _check_int("v", v, None, None)
+    assert type(r) is int and r == v
+
+
+@pytest.mark.parametrize(
+    "v", [True, False, np.True_, 1.0, np.float64(2.0), np.float32(3.0)], ids=repr
+)
+def test_rule_still_refuses_bools_and_floats(v):
+    with pytest.raises(BadParam, match=f"^v must be an integer, got {re.escape(repr(v))}$"):
+        _check_int("v", v, None, None)
+
+
+def _piece_outputs(v):
+    est = PiecewiseEstimate(1, [Piece(1, 1, "constant", v)])
+    return est.to_json(), est.to_csv(), tv(est, [1.0])
+
+
+def _member(regime, n, k, r):
+    return lambda eps: assouad_density(HypercubeSpec(regime, n, k, r, eps, (0,) * r)).to_json()
+
+
+# (case, value, the call it is passed to); each call failed at the parent,
+# with a bare error, a NotNormalized or a wrong record
+_PLAIN = [
+    # a bare OverflowError from the seed mix
+    ("derive_seed", np.int64(1), lambda s: derive_seed(s, 0)),
+    ("mc_risk seed", np.int64(1), lambda s: mc_risk("greedy-binary", family("uniform", 8), 50, 2, s)),
+    (
+        "rate_scaling seed",
+        np.int64(1),
+        lambda s: rate_scaling("greedy-binary", "uniform", [10, 20, 40], 8, 2, s).to_csv(),
+    ),
+    # "int64 is not JSON serializable" from to_json
+    (
+        "mc_risk n",
+        np.int64(50),
+        lambda n: mc_risk("greedy-binary", family("uniform", 8), n, 2, 1).to_json(),
+    ),
+    ("family k", np.int64(2), lambda k: family("uniform", k).to_json()),
+    (
+        "fit_estimate k",
+        np.int64(4),
+        lambda k: fit_estimate("oracle", family("uniform", k), sample(F, 10, 0))[1].to_json(),
+    ),
+    (
+        "estimate domain_k and piece span",
+        np.int64(2),
+        lambda i: PiecewiseEstimate(i, [Piece(i - 1, i, "constant", 0.5)]).to_json(),
+    ),
+    # NotNormalized: the member was built in float32 arithmetic
+    ("monotone-small-k epsilon", np.float32(0.1), _member(Regime.MONOTONE_SMALL_K, 1000, 64, 4)),
+    ("monotone-large-k epsilon", np.float32(0.1), _member(Regime.MONOTONE_LARGE_K, 1000, 400, 3)),
+    ("convex-large-k epsilon", np.float32(0.1), _member(Regime.CONVEX_LARGE_K, 1000, 600, 3)),
+    # numpy's bare TypeError from rint
+    ("convex-large-k Fraction epsilon", Fraction(1, 10), _member(Regime.CONVEX_LARGE_K, 1000, 600, 3)),
+    # to_json raised TypeError or wrote true; to_csv wrote Fraction(1, 2) or True
+    ("piece value Fraction", Fraction(1, 2), _piece_outputs),
+    ("piece value float32", np.float32(0.5), _piece_outputs),
+    ("piece value int64", np.int64(1), _piece_outputs),
+    ("piece value bool", True, _piece_outputs),
+]
+
+
+@pytest.mark.parametrize("x, call", [c[1:] for c in _PLAIN], ids=[c[0] for c in _PLAIN])
+def test_a_number_acts_as_the_plain_int_or_float_it_equals(x, call):
+    plain = int(x) if isinstance(x, np.integer) else float(x)
+    assert call(x) == call(plain)
+
+
+def test_a_decimal_piece_value_is_refused():
+    # Piece took it, and tv then raised a bare TypeError
+    with pytest.raises(BadParam, match="^piece value must be a real number, got Decimal"):
+        Piece(1, 1, "constant", Decimal("1"))
+
+
+_HUGE = 10**400
+
+# (case, call); the last three raised a bare OverflowError, the Piece ones
+# were accepted and kept the huge value
+_PAST_FLOATS = [
+    ("piece slope", lambda: Piece(1, 1, "linear", slope=_HUGE)),
+    ("piece value", lambda: Piece(1, 1, "constant", -_HUGE)),
+    ("piece intercept ratio", lambda: Piece(1, 1, "linear", intercept=Fraction(_HUGE, 3))),
+    ("atom values", lambda: PiecewiseEstimate.from_atom_values(2, [_HUGE, 1])),
+    ("density mass", lambda: make_density([_HUGE, 1])),
+    ("sample counts", lambda: SampleCounts(2, _HUGE, [_HUGE, 0])),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in _PAST_FLOATS], ids=[c[0] for c in _PAST_FLOATS])
+def test_a_number_past_the_float_range_is_a_bad_param(call):
+    with pytest.raises(BadParam, match="past the float range|too large to convert to float"):
+        call()
+
+
+@pytest.mark.parametrize("eps", [10**400, -(10**400)], ids=["big", "-big"])
+def test_an_epsilon_past_the_float_range_is_out_of_every_regime(eps):
+    # float(epsilon) raised a bare OverflowError
+    for regime in Regime:
+        with pytest.raises(InfeasibleSpec, match="^epsilon must lie in"):
+            HypercubeSpec(regime, 100, 10, 1, eps, (0,))
+
+
+class _Duck:
+    """A piece by its attributes only: the CSV row 1,'x' was written for
+    it, and its kind "weird" as "constant"."""
+
+    start, length, kind, value, slope, intercept = 1, 1, "weird", "x", 0.0, 0.0
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [5, None, [object()], [(1, 1, "constant", 0.5)], [_Duck()]],
+    ids=["int", "None", "object", "tuple", "duck"],
+)
+def test_an_estimate_takes_only_piece_records(pieces):
+    # 5 and None raised a bare TypeError, object() a bare AttributeError,
+    # and a duck-typed piece skipped every Piece check
+    with pytest.raises(BadParam, match="^pieces must be an iterable of Piece records$"):
+        PiecewiseEstimate(1, pieces)

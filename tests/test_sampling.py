@@ -166,6 +166,14 @@ def test_interval_count_examples():
         interval_count(sc, 0, 1)
 
 
+def test_interval_count_past_int64():
+    # the int64 sum of 2**62 + 2**62 + 2**61 wrapped to -2**62
+    sc = SampleCounts(4, 3 * 2**62, [2**62, 2**62, 2**61, 2**61])
+    assert interval_count(sc, 1, 4) == 3 * 2**62
+    assert interval_count(sc, 1, 3) == 5 * 2**61
+    assert interval_count(sc, 3, 2) == 2**62
+
+
 def test_sup_deviation_zero_for_exact_counts():
     f = family("uniform", 4)
     sc = SampleCounts(k=4, n=8, counts=np.array([2, 2, 2, 2]))
