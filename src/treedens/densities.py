@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,8 @@ class DiscreteDensity:
     NORMALIZATION_TOL`` decides it.  ``mass.sum()`` settles the clear
     cases without one Python float per atom (see ``_sum_decides``); totals
     near the bound, and every rejection, whose message quotes the fsum
-    total, go to fsum.
+    total, go to fsum.  The CDF edges are computed on first use and kept
+    as ``_cdf``; equality, repr and pickling see only k and mass.
     """
 
     k: int
@@ -83,6 +85,16 @@ class DiscreteDensity:
         m.setflags(write=False)
         self.__dict__.update(k=k, mass=m)
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """np.cumsum(mass), read-only: every sample of the density reads it."""
+        edges = np.cumsum(self.mass)
+        edges.setflags(write=False)
+        return edges
+
+    def __getstate__(self):
+        return _fields_only(self)
+
     def __call__(self, x: int) -> float:
         """Mass of atom x (1-based)."""
         return float(self.mass[_check_int("atom", x, 1, self.k, DomainMismatch) - 1])
@@ -93,6 +105,12 @@ class DiscreteDensity:
     def to_csv(self) -> str:
         """Rows of (index, mass), index 1-based, with a header line."""
         return _atom_csv("index,mass", self.mass)
+
+
+def _fields_only(record) -> dict:
+    """A frozen record's pickled state: its __dict__ without the private
+    caches (names starting with _), which a copy rebuilds on demand."""
+    return {name: v for name, v in record.__dict__.items() if name[0] != "_"}
 
 
 def _atom_csv(header: str, values: np.ndarray) -> str:
@@ -190,10 +208,22 @@ def _check_int(name: str, v, low, high=_MAX_SIZE, error=BadParam) -> int:
     integral = type(v) is int or (type(v) is not bool and isinstance(v, numbers.Integral))
     if not integral or (high is not None and v > high):
         bound = "" if high is None else f" of at most {high}"
-        raise error(f"{name} must be an integer{bound}, got {v!r}")
+        raise error(f"{name} must be an integer{bound}, got {_quote(v)}")
     if low is not None and v < low:
-        raise error(f"{name} must be >= {low}, got {v!r}")
+        raise error(f"{name} must be >= {low}, got {_quote(v)}")
     return int(v)
+
+
+def _quote(v) -> str:
+    """repr(v) for a refusal's message; an int too long for repr (Python
+    limits int-to-text conversion, 4300 digits by default) is quoted by
+    its digit count, so the refusal stays a one-line TreedensError."""
+    try:
+        return repr(v)
+    except ValueError:
+        a = abs(int(v))
+        e = int(a.bit_length() * math.log10(2))  # a has e or e + 1 digits
+        return f"{'-' if v < 0 else ''}<an integer of {e + (a >= 10**e)} digits>"
 
 
 def _fsum(a: np.ndarray) -> float:

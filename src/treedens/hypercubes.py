@@ -42,7 +42,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .densities import DiscreteDensity, _check_int, is_convex_non_increasing, is_non_increasing
+from .densities import (
+    DiscreteDensity,
+    _check_int,
+    _quote,
+    is_convex_non_increasing,
+    is_non_increasing,
+)
 from .errors import BadParam, InfeasibleSpec, OutOfRegime
 
 
@@ -73,7 +79,9 @@ def _growing_bins(r: int, k: int, width: int, target, ratio: Fraction) -> tuple[
     total = width
     for i in range(1, r):
         if total > k:
-            raise InfeasibleSpec(f"bins need more than {k} atoms but the support has only {k}")
+            raise InfeasibleSpec(
+                f"bins need more than {_quote(k)} atoms but the support has only {_quote(k)}"
+            )
         try:
             nxt = width * math.ceil(target(i, lengths[-1]) / width)
         except OverflowError:
@@ -166,7 +174,7 @@ class HypercubeSpec:
         except TypeError:
             bits = ()
         if len(bits) != self.r:
-            raise BadParam(f"theta must be a vector of {self.r} bits")
+            raise BadParam(f"theta must be a vector of {_quote(self.r)} bits")
         self.__dict__["theta"] = tuple(_check_int("theta bit", b, 0, 1) for b in bits)
         lengths = (width,) * self.r if layout is None else layout(self.r, eps, self.k)
         self._fits(sum(lengths))
@@ -176,7 +184,7 @@ class HypercubeSpec:
         if need > self.k:
             bound = "at least " if at_least else ""
             raise InfeasibleSpec(
-                f"bins need {bound}{need} atoms but the support has only {self.k}"
+                f"bins need {bound}{_quote(need)} atoms but the support has only {_quote(self.k)}"
             )
 
 

@@ -9,8 +9,10 @@ totals fires.  The greedy trees total the sample counts, and their rules
 run in exact Python ints, also past the int64 range; the idealized trees
 total the true masses and are deterministic in them.  Each build, and each
 leaf walk below, reads every edge from one running-totals array over the
-padded domain, held at the full total past atom k.  A built tree keeps
-only its leaves, as (start, length) spans in left-to-right order.
+padded domain, held at the full total past atom k.  A sample's totals are
+built once per sample: the sample keeps them for the padded size last
+asked for, so a greedy fit's build and leaf walk share one array.  A built
+tree keeps only its leaves, as (start, length) spans in left-to-right order.
 
 The estimates are piecewise functions over the leaf intervals, truncated
 back to {1, ..., k}; one walk over the leaves builds all four.  Truncation
@@ -22,9 +24,10 @@ per piece field, of Python ints and floats as Piece stores them.  The
 builders and monotonize read and write those columns; Piece records are
 made only when an estimate's .pieces is read.
 
-monotonize pools adjacent violators in exact arithmetic: the float piece
-values become integers on one common power-of-two scale, so merged
-averages are correctly rounded and independent of merge order.
+monotonize pools adjacent violators exactly only where blocks merge: blocks
+are ordered by their float averages, and only a pooled block carries its
+exact total, so merged averages are correctly rounded and independent of
+merge order.
 """
 
 from __future__ import annotations
@@ -163,35 +166,48 @@ def greedy_ternary_split_decision(n_left: int, n_mid: int, n_right: int) -> bool
     return d > 0 and d * d > n_left + n_mid + n_right
 
 
-def _totals(values: np.ndarray, total, padded_k: int):
+def _totals(values: np.ndarray, total, padded_k: int, sc: SampleCounts | None = None):
     """The values' running totals from a leading 0 through padded_k, held
     at the last total from atom k on; total is their sum, n or 1.  Below
-    2**63, a memoryview of the cumulative array, so a read costs no ndarray
-    method call; from there on Python ints, as int64 would wrap."""
+    2**63, a read-only memoryview of the cumulative array, so a read costs
+    no ndarray method call; from there on Python ints, as int64 would wrap.
+    Given sc, whose counts the values are, sc keeps the totals of the
+    padded size last asked for (64 and 81 at k = 64 do not mix); its
+    counts are read-only, so kept totals cannot go stale."""
+    if sc is not None:
+        kept = sc.__dict__.get("_at")
+        if kept is not None and kept[0] == padded_k:
+            return kept[1]
     k = values.size
     if total < 2**63:
         cum = np.zeros(padded_k + 1, values.dtype)
         values.cumsum(out=cum[1 : k + 1])
         if padded_k > k:
             cum[k + 1 :] = cum[k]
-        return memoryview(cum)
-    cum = list(accumulate(values.tolist(), initial=0))
-    return cum + cum[-1:] * (padded_k - k)
+        cum.setflags(write=False)
+        at = memoryview(cum)
+    else:
+        cum = list(accumulate(values.tolist(), initial=0))
+        at = cum + cum[-1:] * (padded_k - k)
+    if sc is not None:
+        sc.__dict__["_at"] = padded_k, at
+    return at
 
 
-def _build_tree(arity: int, values: np.ndarray, total, rule) -> PartitionTree:
+def _build_tree(arity: int, values: np.ndarray, total, rule, sc=None) -> PartitionTree:
     """The tree over the padded domain of the values in which a node splits
     when rule(*totals) holds, totals being its children's sums of values.
 
-    Each node reads its arity + 1 edges of the running totals (_totals)
-    once.  The walk is depth-first over an explicit stack, so deep trees
-    cannot hit recursion limits; children are pushed right to left, so
-    leaves come off the stack in left-to-right order.
+    Each node reads its arity + 1 edges of the running totals (_totals,
+    kept on sc when the values are its counts) once.  The walk is
+    depth-first over an explicit stack, so deep trees cannot hit recursion
+    limits; children are pushed right to left, so leaves come off the
+    stack in left-to-right order.
     """
     if total < 1:
         raise BadParam("need at least one sample")
     padded_k = pad_to_power(values.size, arity)
-    at = _totals(values, total, padded_k)
+    at = _totals(values, total, padded_k, sc)
     spans: list[tuple[int, int]] = []
     stack = [(1, padded_k)]
     while stack:
@@ -215,7 +231,7 @@ def _build_tree(arity: int, values: np.ndarray, total, rule) -> PartitionTree:
 def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
     """The sample-driven binary tree: split where the halves' counts differ
     by more than a standard deviation's worth."""
-    return _build_tree(2, sc.counts, sc.n, greedy_split_decision)
+    return _build_tree(2, sc.counts, sc.n, greedy_split_decision, sc)
 
 
 def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
@@ -229,7 +245,7 @@ def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
 
 def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
     """Sample-driven ternary tree splitting on the thirds' count curvature."""
-    return _build_tree(3, sc.counts, sc.n, greedy_ternary_split_decision)
+    return _build_tree(3, sc.counts, sc.n, greedy_ternary_split_decision, sc)
 
 
 def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
@@ -445,15 +461,16 @@ def _clamped_row(start: int, length: int, slope: float, intercept: float) -> tup
     return _linear_row(start, length, slope, intercept)
 
 
-def _leaf_walk(t: PartitionTree, values: np.ndarray, scale: int, line):
+def _leaf_walk(t: PartitionTree, values: np.ndarray, scale: int, line, sc=None):
     """The estimate over t's leaves of the k per-atom values, cut back to 1..k.
 
     values are sample counts (an integer array, scale n) or masses (a float
-    array, scale 1); the leaves read their running totals (_totals).  A
-    singleton leaf gets its atom's value / scale, so an idealized one
-    copies f bit for bit where a difference of cumulative float sums would
-    round twice.  With line None, a wider leaf is constant at its total /
-    (scale * width), spread over its full padded width.  Otherwise it gets
+    array, scale 1); the leaves read their running totals (_totals, kept on
+    the sample sc when the values are its counts).  A singleton leaf gets
+    its atom's value / scale, so an idealized one copies f bit for bit
+    where a difference of cumulative float sums would round twice.  With
+    line None, a wider leaf is constant at its total / (scale * width),
+    spread over its full padded width.  Otherwise it gets
     the line through its outer thirds' (midpoint, total / (scale * third))
     points, whose midpoints sit 2*third apart, and line(start, length,
     slope, intercept) gives its rows.  A row starting past k is dropped and
@@ -473,7 +490,7 @@ def _leaf_walk(t: PartitionTree, values: np.ndarray, scale: int, line):
         raise DomainMismatch("piecewise-linear estimates need a ternary tree")
     if scale < 1:
         raise BadParam("need at least one sample")
-    at = _totals(values, scale, t.padded_k)
+    at = _totals(values, scale, t.padded_k, sc)
     atom = memoryview(values)
     flat = []
     for start, length in t.spans:
@@ -519,7 +536,7 @@ def histogram_estimate(
 ) -> PiecewiseEstimate:
     """Leaf-interval histogram: each leaf gets its count spread uniformly
     over the leaf's full padded width."""
-    est = _leaf_walk(t, sc.counts, sc.n, None)
+    est = _leaf_walk(t, sc.counts, sc.n, None, sc)
     return _scaled(est, renormalize)
 
 
@@ -549,7 +566,7 @@ def greedy_pl_estimate(
     clamped to zero: unlike the idealized averages, empirical thirds can
     slope either way.  As in idealized_pl_estimate, the fitted lines need
     not preserve mass."""
-    est = _leaf_walk(t, sc.counts, sc.n, _clamped_row)
+    est = _leaf_walk(t, sc.counts, sc.n, _clamped_row, sc)
     return _scaled(est, renormalize)
 
 
@@ -558,44 +575,59 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
 
     Merging two pieces replaces them by their length-weighted average, and
     iterating to a fixed point gives the same answer in every merge order.
-    To honor that uniqueness in floats, the pooling arithmetic is exact:
-    every value is a float, an integer over one common power-of-two
-    denominator, so block totals are Python ints.  Pieces that survive
-    unmerged keep their float, and a merged block rounds once at the end,
-    by correctly rounded integer division.
+    To honor that uniqueness in floats, blocks are ordered by their float
+    averages, which monotone rounding cannot reorder, and only a pooled
+    block carries its exact total, an integer over a power-of-two
+    denominator: it settles a tie, and the block's average is rounded from
+    it once, by correctly rounded integer division.  Unmerged pieces keep
+    their float.  The first non-finite value is refused before any pooling.
     The result's pieces are constant with zero slope and intercept.
     """
     if any(e.linear):
         raise NotPiecewiseConstant("monotonize applies to piecewise-constant estimates")
     values, lengths = e.values, e.lengths
-    try:
-        ratios = [v.as_integer_ratio() for v in values]
-    except (OverflowError, ValueError):  # infinities and NaN have no ratio
+    if not all(map(math.isfinite, values)):
         bad = next(v for v in values if not math.isfinite(v))
-        raise BadParam(f"piece value {bad!r} is not finite") from None
-    den = math.lcm(*[d for _, d in ratios])
-    # block: [first piece index, last piece index, atom length, total * den]
+        raise BadParam(f"piece value {bad!r} is not finite")
+    # block: [atom length, float average, num, den]: a pooled block's values
+    # total num / den; a lone piece's num is None
     blocks: list[list] = []
-    for idx, (length, (num, d)) in enumerate(zip(lengths, ratios)):
-        blocks.append([idx, idx, length, num * (den // d) * length])
-        while len(blocks) >= 2:
-            a, b = blocks[-2], blocks[-1]
-            if a[3] * b[2] < b[3] * a[2]:  # average(a) < average(b): violation
-                blocks[-2] = [a[0], b[1], a[2] + b[2], a[3] + b[3]]
-                blocks.pop()
-            else:
+    for value, length in zip(values, lengths):
+        b = [length, value, None, 1]
+        while blocks:
+            a = blocks[-1]
+            # unequal floats order the exact averages; equal lone values are equal
+            if a[1] > b[1] or (a[1] == b[1] and a[2] is None and b[2] is None):
                 break
+            an, ad = _exact_total(a)
+            bn, bd = _exact_total(b)
+            if a[1] == b[1] and an * bd * b[0] >= bn * ad * a[0]:  # tied, yet exactly a >= b
+                break
+            den = max(ad, bd)
+            num = an * (den // ad) + bn * (den // bd)
+            length = a[0] + b[0]
+            b = [length, num / (den * length), num, den]
+            blocks.pop()
+        blocks.append(b)
     # lists, then tuples: tuple() of a generator resizes as it fills, which
     # raised the peak RSS of long risk runs by about 2 MB
     starts, sizes, out = [], [], []
     pos = 1
-    for first, last, length, total in blocks:
+    for length, average, _, _ in blocks:
         starts.append(pos)
         sizes.append(length)
-        out.append(values[first] if first == last else total / (den * length))
+        out.append(average)
         pos += length
     m = len(blocks)
     zeros = (0.0,) * m
     return PiecewiseEstimate._from_columns(
         e.domain_k, tuple(starts), tuple(sizes), (False,) * m, tuple(out), zeros, zeros
     )
+
+
+def _exact_total(block: list) -> tuple[int, int]:
+    """A monotonize block's values total as (num, den), den a power of two."""
+    if block[2] is None:
+        num, den = block[1].as_integer_ratio()
+        return num * block[0], den
+    return block[2], block[3]

@@ -10,7 +10,9 @@ Counting is inverse-CDF by sort-merge: the n uniforms are sorted in place
 and each CDF edge is located among them, so a draw u lands on the atom j
 with edges[j-1] <= u < edges[j].  That costs O(n log n + k log n) time and
 one 8n-byte buffer (the uniforms themselves); no per-draw index array is
-ever built.
+ever built.  The edges are computed once per density, which keeps them.
+A sample's counts are its own read-only copy, so the tree builders can
+keep their running totals on it (see partition_trees).
 
 sample wraps its counts with the unchecked SampleCounts._trusted rather
 than the public constructor: they are the differences of a non-decreasing
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DiscreteDensity, _atom_csv, _check_int
+from .densities import DiscreteDensity, _atom_csv, _check_int, _fields_only, _quote
 from .errors import BadParam, OutOfRange
 
 _MASK64 = (1 << 64) - 1
@@ -49,7 +51,9 @@ def derive_seed(master_seed: int, replication: int) -> int:
 
 @dataclass(frozen=True)
 class SampleCounts:
-    """Counts of n i.i.d. draws over the atoms 1..k."""
+    """Counts of n i.i.d. draws over the atoms 1..k, kept as a read-only
+    int64 copy.  What is derived from them may be kept under a private
+    name; equality, repr and pickling see only k, n and counts."""
 
     k: int
     n: int
@@ -69,7 +73,7 @@ class SampleCounts:
             vals is not raw and not np.all((vals == np.trunc(vals)) & (np.abs(vals) < 2.0**63))
         ):
             raise BadParam("counts must be finite integers")
-        counts = np.ascontiguousarray(raw, dtype=np.int64)
+        counts = np.array(raw, dtype=np.int64, ndmin=1)  # an own copy, frozen below
         if counts.shape != (k,):
             raise BadParam(f"expected {k} counts, got shape {counts.shape}")
         # two plain reductions: np.any(counts < 0) costs as much as both
@@ -77,16 +81,22 @@ class SampleCounts:
             raise BadParam("counts must be non-negative")
         total = _exact_sum(counts)
         if total != n:
-            raise BadParam(f"counts sum to {total}, not n={n}")
+            raise BadParam(f"counts sum to {total}, not n={_quote(n)}")
+        counts.setflags(write=False)
         self.__dict__.update(k=k, n=n, counts=counts)
 
     @classmethod
     def _trusted(cls, k: int, n: int, counts: np.ndarray) -> SampleCounts:
         """Counts already known to be k non-negative C-contiguous int64
-        entries summing to n, wrapped without the checks."""
+        entries summing to n, in an array no one else holds, wrapped
+        without the checks and frozen."""
+        counts.setflags(write=False)
         sc = cls.__new__(cls)
         sc.__dict__.update(k=k, n=n, counts=counts)
         return sc
+
+    def __getstate__(self):
+        return _fields_only(self)
 
     def frequencies(self) -> np.ndarray:
         """Empirical per-atom probabilities; the zero measure when n = 0."""
@@ -102,16 +112,20 @@ def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     """n draws from the density, by inverse CDF on one block of uniforms.
 
     The uniforms are sorted and merged against the CDF edges (see the
-    module docstring): O(n log n + k log n) time, one 8n-byte buffer.
+    module docstring): O(n log n + k log n) time, one 8n-byte buffer.  The
+    edges are a DiscreteDensity's kept _cdf, or np.cumsum(mass) of any
+    other object with k and mass.
     """
     n = _check_int("n", n, 0)
     seed = _check_int("seed", seed, 0, None)
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
-    return SampleCounts._trusted(density.k, n, _counts_from_uniforms(density.mass, u))
+    edges = density._cdf if isinstance(density, DiscreteDensity) else np.cumsum(density.mass)
+    return SampleCounts._trusted(density.k, n, _counts_from_uniforms(edges, u))
 
 
-def _counts_from_uniforms(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-atom counts of the uniforms u under the CDF of mass; sorts u in place.
+def _counts_from_uniforms(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-atom counts of the uniforms u under the CDF edges, np.cumsum of
+    the masses; sorts u in place.
 
     Atom j < k-1 gets the u with edges[j-1] <= u < edges[j].  The last atom
     gets every u >= edges[-2]: cumulative rounding can leave edges[-1] a hair
@@ -121,7 +135,7 @@ def _counts_from_uniforms(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     u.sort()
     # below[j]: the draws under edges[j]; the last atom takes every draw
-    below = np.searchsorted(u, np.cumsum(mass), side="left")
+    below = np.searchsorted(u, edges, side="left")
     below[-1] = u.size
     counts = below.copy()
     counts[1:] -= below[:-1]

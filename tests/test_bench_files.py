@@ -4,7 +4,11 @@ agrees with BENCHMARK.json and with its own runs.
 A file holds, per workload, alternating pairs of runs of a parent commit
 and a change: each run's header and end-to-end metrics block, as
 benchmarks/run.py wrote them, and per metric a summary of both sides.
-The summary's statistics are recomputed here from the runs.
+The summary's statistics are recomputed here from the runs.  A file that
+claims a gain names one workload and one end-to-end metric, and records
+whether the runs meet the claim: the change better in at least nine of ten
+pairs, and its median better than the parent's by more than the parent's
+q3 - q1.
 """
 
 import json
@@ -95,6 +99,33 @@ def test_summaries_match_the_runs(path):
                 got = summary[side]
                 assert (got["q1"], got["median"], got["q3"]) == (q1, med, q3), (name, metric, side)
             # a tie counts for neither side
-            wins = sum(_sign(metric) * (c - p) > 0 for p, c in zip(parent, change))
-            assert summary["pairs_change_better"] == wins, (name, metric)
+            assert summary["pairs_change_better"] == _wins(metric, parent, change), (name, metric)
             assert summary["verdict"] == _verdict(metric, parent, change), (name, metric)
+            q1, med, q3 = _quartiles(parent)
+            assert summary["parent_spread_frac"] == (q3 - q1) / med, (name, metric)
+            change_med = statistics.median(change)
+            assert summary["change_vs_parent_frac"] == (change_med - med) / med, (name, metric)
+            ratio = statistics.median(c / p for p, c in zip(parent, change))
+            assert summary["median_pair_ratio"] == ratio, (name, metric)
+
+
+def _wins(metric, parent, change):
+    """Pairs whose change run reads better than its parent run."""
+    return sum(_sign(metric) * (c - p) > 0 for p, c in zip(parent, change))
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_a_claim_names_a_measured_metric_and_is_judged_from_the_runs(path):
+    data = _load(path)
+    claim = data["claim"]
+    if claim is None:
+        return
+    workload, metric = claim["workload"], claim["metric"]
+    assert workload in data["workloads"] and metric in END_TO_END, claim
+    entry = data["workloads"][workload]
+    assert metric in entry["summary"], claim
+    parent, change = (_values(entry["pairs"], side, metric) for side in SIDES)
+    q1, med, q3 = _quartiles(parent)
+    gain = _sign(metric) * (statistics.median(change) - med)
+    met = 10 * _wins(metric, parent, change) >= 9 * len(parent) and gain > q3 - q1
+    assert claim["claim_met"] == met, claim

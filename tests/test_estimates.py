@@ -411,6 +411,12 @@ def test_monotonize_non_finite_values_still_raise(pieces):
         monotonize(_constant_estimate(pieces))
 
 
+def test_monotonize_refusal_names_the_first_non_finite_value():
+    # in piece order, before any pooling: the 2.0 and the nan never meet
+    with pytest.raises(BadParam, match="^piece value nan is not finite$"):
+        monotonize(_constant_estimate([(1, 2.0), (1, float("nan")), (1, float("inf"))]))
+
+
 @pytest.mark.parametrize(
     "pieces",
     [

@@ -27,6 +27,7 @@ from treedens import (
     PiecewiseEstimate,
     Regime,
     SampleCounts,
+    TreedensError,
     assouad_default_params,
     assouad_density,
     assouad_lower_bound,
@@ -282,3 +283,69 @@ def test_an_estimate_takes_only_piece_records(pieces):
     # and a duck-typed piece skipped every Piece check
     with pytest.raises(BadParam, match="^pieces must be an iterable of Piece records$"):
         PiecewiseEstimate(1, pieces)
+
+
+_HUGE = 10**5000  # past Python's 4300-digit int-to-text limit
+_HUGE_REFUSALS = [
+    (
+        "family-k",
+        lambda: family("uniform", _HUGE),
+        BadParam,
+        f"^k must be an integer of at most {_MAX_SIZE}, got <an integer of 5001 digits>$",
+    ),
+    (
+        "negative-seed",
+        lambda: derive_seed(0, -_HUGE),
+        BadParam,
+        "^replication must be >= 0, got -<an integer of 5001 digits>$",
+    ),
+    (
+        "sample-n",
+        lambda: SampleCounts(1, _HUGE, [0]),
+        BadParam,
+        "^counts sum to 0, not n=<an integer of 5001 digits>$",
+    ),
+    (
+        "spec-r",
+        lambda: HypercubeSpec(Regime.MONOTONE_SMALL_K, 10, 4, _HUGE, 0.5, (0,)),
+        InfeasibleSpec,
+        "^bins need <an integer of 5001 digits> atoms but the support has only 4$",
+    ),
+    (
+        "spec-theta",
+        lambda: HypercubeSpec(Regime.MONOTONE_SMALL_K, 10, 10**5001, _HUGE, 0.5, (0,)),
+        BadParam,
+        "^theta must be a vector of <an integer of 5001 digits> bits$",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [c[1:] for c in _HUGE_REFUSALS], ids=[c[0] for c in _HUGE_REFUSALS]
+)
+def test_a_refusal_quotes_a_huge_int_by_its_digit_count(call, error, message):
+    # each raised a bare ValueError ("Exceeds the limit (4300 digits) for
+    # integer string conversion") while writing its message
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: family("uniform", 2**61),
+            f"k must be an integer of at most {_MAX_SIZE}, got {2**61}",
+        ),
+        (lambda: SampleCounts(1, 10**4299, [0]), f"counts sum to 0, not n={10**4299}"),
+        (
+            lambda: HypercubeSpec(Regime.MONOTONE_SMALL_K, 10, 4, 10**30, 0.5, (0,)),
+            f"bins need {2 * 10**30} atoms but the support has only 4",
+        ),
+    ],
+    ids=["family-k", "sample-n", "spec-r"],
+)
+def test_a_refusal_still_quotes_an_ordinary_int_as_it_is(call, message):
+    with pytest.raises(TreedensError) as got:
+        call()
+    assert str(got.value) == message

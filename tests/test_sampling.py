@@ -140,7 +140,7 @@ def test_uniform_on_a_cdf_edge_goes_to_the_next_atom():
     # every edge is exact in binary: 0.25, 0.25, 0.5, 1.0; atom 2 has no mass
     mass = np.array([0.25, 0.0, 0.25, 0.5])
     u = np.array([0.5, 0.25, 0.0, 0.25, np.nextafter(0.25, 0.0), 0.75, np.nextafter(1.0, 0.0)])
-    counts = _counts_from_uniforms(mass, u.copy())
+    counts = _counts_from_uniforms(np.cumsum(mass), u.copy())
     assert np.array_equal(counts, ref_counts_from_uniforms(mass, u))
     assert list(counts) == [2, 0, 2, 3]
 
@@ -150,7 +150,7 @@ def test_stragglers_past_the_last_edge_go_to_the_last_atom():
     edges = np.cumsum(mass)
     assert edges[-1] < 1.0  # ten 0.1s add up to a hair under 1
     u = np.array([edges[-1], 0.05, np.nextafter(1.0, 0.0), edges[-2], np.nextafter(edges[-2], 0.0)])
-    counts = _counts_from_uniforms(mass, u.copy())
+    counts = _counts_from_uniforms(edges, u.copy())
     assert np.array_equal(counts, ref_counts_from_uniforms(mass, u))
     assert counts[0] == 1 and counts[-2] == 1 and counts[-1] == 3
 

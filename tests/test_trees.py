@@ -443,6 +443,63 @@ def test_monotonize_matches_fraction_pava_bitwise(pieces):
     ]
 
 
+# Values whose pooled blocks join unlike power-of-two denominators (5e-324
+# is 2**-1074, 1e300 an integer) and whose rounded averages land on their
+# neighbours: a pool of 1 - 2**-53 and 1.0 rounds to 1.0, so the float
+# comparison ties and only the exact totals can order the blocks.
+_BELOW_ONE, _ABOVE_ONE = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+_MIXED_VALUES = st.sampled_from(
+    (0.0, 5e-324, 1e-323, 2.5e-310, 0.1, 0.3, _BELOW_ONE, 1.0, _ABOVE_ONE, 3.0, 1e300, 3e300)
+)
+
+
+def _mixed_pieces(max_pieces):
+    return st.lists(st.tuples(st.integers(1, 4), _MIXED_VALUES), min_size=1, max_size=max_pieces)
+
+
+def _pooled(pieces):
+    est, pos = [], 1
+    for length, value in pieces:
+        est.append(Piece(pos, length, "constant", value=value))
+        pos += length
+    got = monotonize(PiecewiseEstimate(pos - 1, tuple(est)))
+    return [(l, v.hex()) for l, v in zip(got.lengths, got.values)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=_mixed_pieces(12))
+def test_monotonize_pools_mixed_scales_as_fraction_pava(pieces):
+    assert _pooled(pieces) == [(l, v.hex()) for l, v in ref_monotonize(pieces)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces=_mixed_pieces(6))
+def test_monotonize_pools_mixed_scales_as_every_merge_order(pieces):
+    # a lone piece's float is its exact value, so rounding each block's
+    # exact average once gives the lone pieces back unchanged
+    want = pava_all_merge_orders(pieces)
+    assert _pooled(pieces) == [(l, float(v).hex()) for l, v in want]
+
+
+@pytest.mark.parametrize(
+    "pieces, want",
+    [
+        # the pool's exact average 1 - 2**-54 rounds to 1.0 but is below
+        # the next piece's 1.0: a violation, pooled again
+        ([(1, _BELOW_ONE), (1, 1.0), (1, 1.0)], [(3, float((3 - Fraction(2) ** -53) / 3))]),
+        # the pool's exact average 1 + 2**-53 rounds to 1.0 but is above
+        # the next piece's 1.0: no violation
+        ([(1, 1.0), (1, _ABOVE_ONE), (1, 1.0)], [(2, 1.0), (1, 1.0)]),
+        # lone pieces of equal value never pool
+        ([(1, 0.1), (2, 0.1)], [(1, 0.1), (2, 0.1)]),
+    ],
+    ids=["tie-below", "tie-above", "equal-lone"],
+)
+def test_monotonize_settles_a_rounded_tie_exactly(pieces, want):
+    assert _pooled(pieces) == [(l, v.hex()) for l, v in want]
+    assert _pooled(pieces) == [(l, v.hex()) for l, v in ref_monotonize(pieces)]
+
+
 def test_monotonize_noop_bitwise():
     est = PiecewiseEstimate(
         4, (Piece(1, 2, "constant", 0.3), Piece(3, 2, "constant", 0.2))
