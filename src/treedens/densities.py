@@ -40,7 +40,7 @@ LINEAR_DECREASING = "linear-decreasing"
 FAMILY_NAMES = (UNIFORM, HARMONIC_ZIPF, TRUNC_GEOMETRIC, LINEAR_DECREASING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDensity:
     """A probability mass function on atoms 1..k.
 
@@ -54,7 +54,9 @@ class DiscreteDensity:
     cases without one Python float per atom (see ``_sum_decides``); totals
     near the bound, and every rejection, whose message quotes the fsum
     total, go to fsum.  The CDF edges are computed on first use and kept
-    as ``_cdf``; equality, repr and pickling see only k and mass.
+    as ``_cdf``.  Equality compares k and mass by value, repr shows only
+    them, and a density is unhashable.  Pickling and copying call the
+    constructor, so a copy is checked anew and keeps no ``_cdf``.
     """
 
     k: int
@@ -92,8 +94,15 @@ class DiscreteDensity:
         edges.setflags(write=False)
         return edges
 
-    def __getstate__(self):
-        return _fields_only(self)
+    def __reduce__(self):
+        return type(self), (self.k, self.mass)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.k == other.k and np.array_equal(self.mass, other.mass)
+
+    __hash__ = None
 
     def __call__(self, x: int) -> float:
         """Mass of atom x (1-based)."""
@@ -105,12 +114,6 @@ class DiscreteDensity:
     def to_csv(self) -> str:
         """Rows of (index, mass), index 1-based, with a header line."""
         return _atom_csv("index,mass", self.mass)
-
-
-def _fields_only(record) -> dict:
-    """A frozen record's pickled state: its __dict__ without the private
-    caches (names starting with _), which a copy rebuilds on demand."""
-    return {name: v for name, v in record.__dict__.items() if name[0] != "_"}
 
 
 def _atom_csv(header: str, values: np.ndarray) -> str:

@@ -45,13 +45,15 @@ def _atom_matrix(candidates) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """An ordered list of candidate estimates over a shared domain.
 
     candidates may be DiscreteDensity, PiecewiseEstimate, or raw atom-value
     arrays (sub-normalized candidates are allowed; selection does not need
-    normalization).  labels, when given, must parallel candidates.
+    normalization).  labels, when given, must parallel candidates.  Two
+    sets are equal when their labels and atom values are; a set is
+    unhashable.
     """
 
     candidates: tuple = ()
@@ -75,6 +77,13 @@ class CandidateSet:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "atom_values", _atom_matrix(candidates))
         self.atom_values.setflags(write=False)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.atom_values, other.atom_values)
+
+    __hash__ = None
 
     def __len__(self) -> int:
         return len(self.candidates)

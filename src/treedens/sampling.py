@@ -14,11 +14,11 @@ ever built.  The edges are computed once per density, which keeps them.
 A sample's counts are its own read-only copy, so the tree builders can
 keep their running totals on it (see partition_trees).
 
-sample wraps its counts with the unchecked SampleCounts._trusted rather
-than the public constructor: they are the differences of a non-decreasing
-int64 sequence that runs from 0 to n, so they are already a C-contiguous
-int64 vector of k non-negative entries summing to n, and every check the
-public constructor makes holds by construction.  SampleCounts(k, n, counts)
+sample takes only a DiscreteDensity and wraps its counts with the unchecked
+SampleCounts._trusted: they are the differences of a non-decreasing int64
+sequence that runs from 0 to n, so they are already a C-contiguous int64
+vector of k non-negative entries summing to n, and every check the public
+constructor makes holds by construction.  SampleCounts(k, n, counts)
 called from anywhere else keeps every check.
 """
 
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DiscreteDensity, _atom_csv, _check_int, _fields_only, _quote
-from .errors import BadParam, OutOfRange
+from .densities import DiscreteDensity, _atom_csv, _check_int, _quote
+from .errors import BadParam, DomainMismatch, OutOfRange
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,11 +49,13 @@ def derive_seed(master_seed: int, replication: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleCounts:
     """Counts of n i.i.d. draws over the atoms 1..k, kept as a read-only
     int64 copy.  What is derived from them may be kept under a private
-    name; equality, repr and pickling see only k, n and counts."""
+    name.  Equality compares k, n and counts by value, repr shows only
+    them, and a sample is unhashable.  Pickling and copying call the
+    constructor, so a copy is checked anew and keeps nothing derived."""
 
     k: int
     n: int
@@ -95,8 +97,15 @@ class SampleCounts:
         sc.__dict__.update(k=k, n=n, counts=counts)
         return sc
 
-    def __getstate__(self):
-        return _fields_only(self)
+    def __reduce__(self):
+        return type(self), (self.k, self.n, self.counts)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.k, self.n) == (other.k, other.n) and np.array_equal(self.counts, other.counts)
+
+    __hash__ = None
 
     def frequencies(self) -> np.ndarray:
         """Empirical per-atom probabilities; the zero measure when n = 0."""
@@ -111,16 +120,16 @@ class SampleCounts:
 def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     """n draws from the density, by inverse CDF on one block of uniforms.
 
-    The uniforms are sorted and merged against the CDF edges (see the
-    module docstring): O(n log n + k log n) time, one 8n-byte buffer.  The
-    edges are a DiscreteDensity's kept _cdf, or np.cumsum(mass) of any
-    other object with k and mass.
+    The uniforms are sorted and merged against the density's kept CDF
+    edges (see the module docstring): O(n log n + k log n) time, one
+    8n-byte buffer.  Anything but a DiscreteDensity raises BadParam.
     """
+    if not isinstance(density, DiscreteDensity):
+        raise BadParam(f"density must be a DiscreteDensity, got {type(density).__name__}")
     n = _check_int("n", n, 0)
     seed = _check_int("seed", seed, 0, None)
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
-    edges = density._cdf if isinstance(density, DiscreteDensity) else np.cumsum(density.mass)
-    return SampleCounts._trusted(density.k, n, _counts_from_uniforms(edges, u))
+    return SampleCounts._trusted(density.k, n, _counts_from_uniforms(density._cdf, u))
 
 
 def _counts_from_uniforms(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -205,7 +214,7 @@ def empirical_sup_deviation(sc: SampleCounts, density: DiscreteDensity, sets) ->
     collection has deviation 0.
     """
     if sc.k != density.k:
-        raise BadParam("counts and density must share the support size")
+        raise DomainMismatch("counts and density must share the support size")
     masks = subsets_to_masks(sets, sc.k)
     if masks.shape[0] == 0:
         return 0.0

@@ -13,6 +13,7 @@ import pytest
 
 from oracles import ref_sample_counts
 from treedens import (
+    BadParam,
     SampleCounts,
     build_greedy_binary,
     build_greedy_ternary,
@@ -76,9 +77,9 @@ def test_one_density_sampled_at_several_sizes_and_seeds_counts_as_the_oracle():
     edges = f.__dict__["_cdf"]
     assert sample(f, 10, 0) is not None and f.__dict__["_cdf"] is edges  # computed once
     assert np.array_equal(edges, np.cumsum(f.mass)) and not edges.flags.writeable
-    # any other object with k and mass is still sampled, from its own edges
-    duck = SimpleNamespace(k=f.k, mass=f.mass)
-    assert np.array_equal(sample(duck, 1000, 1).counts, sample(f, 1000, 1).counts)
+    # any other object with k and mass is refused, not sampled from unchecked edges
+    with pytest.raises(BadParam, match="must be a DiscreteDensity"):
+        sample(SimpleNamespace(k=f.k, mass=f.mass), 1000, 1)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +12,13 @@ from oracles import ref_counts_from_uniforms, ref_sample_counts
 from treedens import (
     FAMILY_NAMES,
     BadParam,
+    CandidateSet,
+    DiscreteDensity,
+    DomainMismatch,
+    NotNormalized,
     OutOfRange,
     SampleCounts,
+    build_greedy_binary,
     derive_seed,
     empirical_sup_deviation,
     family,
@@ -27,6 +35,21 @@ def test_zero_draws_allowed():
     assert sc.n == 0
     assert np.array_equal(sc.counts, np.zeros(4, dtype=np.int64))
     assert np.array_equal(sc.frequencies(), np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        SimpleNamespace(k=3, mass=np.array([0.6, -0.4, 0.8])),  # gave a count of -408
+        SimpleNamespace(k=5, mass=np.array([0.5, 0.5])),  # gave k = 5 with two counts
+        object(),  # a bare AttributeError
+        np.array([0.5, 0.5]),
+    ],
+    ids=["negative-mass", "short-mass", "object", "array"],
+)
+def test_sample_refuses_anything_but_a_density(density):
+    with pytest.raises(BadParam, match="density must be a DiscreteDensity"):
+        sample(density, 1000, 1)
 
 
 def test_negative_draws_rejected():
@@ -125,6 +148,88 @@ _weights = st.lists(
 def test_sample_counts_equal_reference(w, n, seed):
     f = make_density(np.array(w) / math.fsum(w))
     assert np.array_equal(sample(f, n, seed).counts, ref_sample_counts(f.mass, n, seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=_weights,
+    short=st.sampled_from([0.0, 9e-10]),
+    n=st.integers(0, 5000),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(w=[1.0], short=0.0, n=0, seed=0)
+@example(w=[1.0], short=9e-10, n=50, seed=2)
+@example(w=[0.0, 1.0, 0.0], short=0.0, n=17, seed=3)
+@example(w=[0.1] * 10, short=0.0, n=1000, seed=1)  # the edges end a hair under 1
+def test_a_sample_is_what_the_checked_constructor_accepts_and_copies_as_itself(w, short, n, seed):
+    # short: a total under 1 by less than the tolerance, so the last atom
+    # takes every draw past the last edge
+    f = make_density(np.array(w) / math.fsum(w) * (1.0 - short))
+    sc = sample(f, n, seed)
+    assert sc == SampleCounts(f.k, n, sample(f, n, seed).counts)
+    if n:
+        build_greedy_binary(sc)  # keeps running totals on the sample
+    for record in (f, sc):
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record
+        assert not [name for name in vars(back) if name.startswith("_")]
+
+
+def test_a_copy_is_built_by_the_checked_constructor():
+    # records holding what their checks refuse, built around the checks
+    bad_counts = SampleCounts._trusted(3, 1, np.array([2, -1, 0]))
+    bad_mass = DiscreteDensity.__new__(DiscreteDensity)
+    bad_mass.__dict__.update(k=2, mass=np.array([0.6, 0.6]))
+    for bad, error in ((bad_counts, BadParam), (bad_mass, NotNormalized)):
+        with pytest.raises(error):
+            pickle.loads(pickle.dumps(bad))
+        with pytest.raises(error):
+            copy.deepcopy(bad)
+
+
+_MASS = [0.5, 0.25, 0.125, 0.125]
+
+
+@pytest.mark.parametrize(
+    "make, equal, unequal",
+    [
+        (
+            lambda: make_density(_MASS),
+            lambda: [DiscreteDensity(4, np.array(_MASS))],
+            lambda: [make_density(_MASS[::-1]), family("uniform", 2)],
+        ),
+        (
+            lambda: SampleCounts(4, 8, [4, 2, 1, 1]),
+            lambda: [SampleCounts(4, 8, np.array([4.0, 2.0, 1.0, 1.0]))],
+            lambda: [
+                SampleCounts(4, 8, [1, 1, 2, 4]),
+                SampleCounts(4, 9, [4, 2, 1, 2]),
+                SampleCounts(3, 7, [4, 2, 1]),
+            ],
+        ),
+        (
+            lambda: CandidateSet([make_density(_MASS), family("uniform", 4)], ["a", "b"]),
+            # the same labels and atom values, whatever the candidates' types
+            lambda: [CandidateSet([np.array(_MASS), np.full(4, 0.25)], ["a", "b"])],
+            lambda: [
+                CandidateSet([make_density(_MASS), family("uniform", 4)], ["a", "c"]),
+                CandidateSet([make_density(_MASS), family("uniform", 4)]),
+                CandidateSet([family("uniform", 4), make_density(_MASS)], ["a", "b"]),
+            ],
+        ),
+    ],
+    ids=["DiscreteDensity", "SampleCounts", "CandidateSet"],
+)
+def test_records_compare_by_value_and_are_unhashable(make, equal, unequal):
+    # == raised "The truth value of an array ... is ambiguous" for k > 1
+    record = make()
+    for twin in [make(), *equal()]:
+        assert record == twin and not record != twin
+    for other in unequal():
+        assert record != other and not record == other
+    assert record != "a record" and record != None  # noqa: E711
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -234,6 +339,12 @@ def test_subsets_to_masks_reject_malformed_subsets(sets):
     sc = SampleCounts(k=3, n=10, counts=np.array([7, 3, 0]))
     with pytest.raises(BadParam):
         empirical_sup_deviation(sc, f, sets)
+
+
+def test_sup_deviation_refuses_a_support_mismatch_as_domain_mismatch():
+    sc = SampleCounts(k=3, n=10, counts=np.array([7, 3, 0]))
+    with pytest.raises(DomainMismatch, match="share the support size"):
+        empirical_sup_deviation(sc, family("uniform", 4), [{1}])
 
 
 def test_sup_deviation_rejects_non_integral_indices():
