@@ -9,6 +9,14 @@ Every size, count, seed and atom index in the package passes one rule,
 _check_int: an integer (a numbers.Integral, never a bool) within its
 site's bounds, kept as the Python int it returns, else a TreedensError.
 Array sizes stop at _MAX_SIZE; counts, spec sizes and rate inputs do not.
+Every vector of numbers (masses, atom values, counts) passes one rule too,
+_check_vector: what numpy reads as a 1-D array, with no text, None or
+nested item, else a BadParam.  Masses and atom values are read as float64,
+a bool as 0.0 or 1.0, and NaN and inf are left to the caller; counts are
+read exactly as int64, and a bool, a non-integral item or one past int64
+is refused.  A function taking a record (a density, sample, tree,
+estimate, spec or candidate set) refuses anything else with BadParam
+before it reads an attribute (_check_type).
 """
 
 from __future__ import annotations
@@ -64,12 +72,9 @@ class DiscreteDensity:
 
     def __post_init__(self):
         k = _check_int("k", self.k, 1)
-        # own copy, frozen: instances are shared across threads unguarded
-        try:
-            m = np.array(self.mass, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadParam(f"mass must be a vector of numbers: {exc}") from None
-        if m.shape != (k,):
+        m = _check_vector("mass", self.mass)
+        m = m.copy() if m is self.mass else m  # own copy, frozen: threads share it unguarded
+        if m.size != k:
             raise BadParam(f"mass must be a length-{k} vector")
         if not np.all(np.isfinite(m)):
             raise BadParam("mass has a NaN or infinite entry")
@@ -217,6 +222,41 @@ def _check_int(name: str, v, low, high=_MAX_SIZE, error=BadParam) -> int:
     return int(v)
 
 
+def _check_type(name: str, v, cls) -> None:
+    """The record rule: a function taking a record refuses anything but a
+    cls, with BadParam naming the type, before it reads an attribute."""
+    if not isinstance(v, cls):
+        raise BadParam(f"{name} must be a {cls.__name__}, got {type(v).__name__}")
+
+
+def _check_vector(name: str, v, integer: bool = False) -> np.ndarray:
+    """The package's one vector rule (see the module docstring): v as a 1-D
+    float64 array, v itself if it is one and else a fresh one, or when
+    integer as a fresh int64 array; else BadParam."""
+    if not integer and type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64:
+        return v  # every per-replication tv call lands here
+    refused = (str, bytes, type(None)) + ((bool, np.bool_) if integer else ())
+    try:
+        # integer mode reads items as Python objects, unless v is a signed
+        # int array: numpy reads [True, 2] as ints, [1.0, 2**62 + 1] as floats
+        native = not integer or isinstance(v, np.ndarray) and v.dtype.kind == "i"
+        a = np.asarray(v, None if native else object)
+        items = a.tolist() if a.dtype.kind == "O" and a.ndim == 1 else None
+        bad = [x for x in items or [v] if isinstance(x, refused)]
+        if bad or a.ndim != 1 or a.dtype.kind not in "biufO":  # text arrays are "U" or "S"
+            raise TypeError(f"got {bad[0]!r}" if bad else f"got {a.dtype} items in shape {a.shape}")
+        if not integer or items is None:
+            return a.astype(np.int64 if integer else np.float64)
+        a.astype(np.float64)  # numpy's refusal of a non-number or an int past the float range
+        ints = [int(x) for x in items]  # exact; np.array refuses an int past int64
+        if ints != items:
+            raise ValueError("got a non-integral item")
+        return np.array(ints, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:  # numpy's and int()'s refusals too
+        what = "finite integers" if integer else "numbers"
+        raise BadParam(f"{name} must be {what} in a 1-D vector: {exc}") from None
+
+
 def _quote(v) -> str:
     """repr(v) for a refusal's message; an int too long for repr (Python
     limits int-to-text conversion, 4300 digits by default) is quoted by
@@ -259,26 +299,19 @@ def _sum_decides(s: float, k: int) -> bool:
 
 
 def make_density(mass) -> DiscreteDensity:
-    """Validate a mass sequence and wrap it as a DiscreteDensity.
+    """Validate a mass vector and wrap it as a DiscreteDensity of len(mass) atoms.
 
     Raises BadParam on any NaN or infinite entry, NegativeMass on any
     negative entry (checked before normalization so [-0.1, 1.1] reports the
     sign problem, not the sum), NotNormalized when the total is off by more
-    than 1e-9.  No silent renormalization ever.  A scalar, a string, None
-    or anything else that is not a sequence of numbers raises BadParam.
-
-    An ndarray is passed on as it is: DiscreteDensity's one conversion to
-    its own float array gives the bits that converting element by element
-    gives, without building a list.
+    than 1e-9.  No silent renormalization ever.  What is not a vector of
+    numbers under _check_vector raises BadParam.
     """
-    if isinstance(mass, (str, bytes)):
-        raise BadParam(f"mass must be a sequence of numbers, not {type(mass).__name__}")
     try:
-        arr = mass if isinstance(mass, np.ndarray) else list(mass)
-        k = len(arr)  # a 0-d array has no len
-    except TypeError as exc:
-        raise BadParam(f"mass must be a sequence of numbers: {exc}") from None
-    return DiscreteDensity(k=k, mass=arr)
+        k = len(mass)
+    except TypeError:  # no length, so no vector: the rule says why
+        k = _check_vector("mass", mass).size
+    return DiscreteDensity(k=k, mass=mass)
 
 
 def density_from_json(text: str) -> DiscreteDensity:
@@ -309,6 +342,7 @@ def density_from_csv(text: str) -> DiscreteDensity:
 
 def is_non_increasing(f: DiscreteDensity) -> bool:
     """Exact check of f(x+1) <= f(x) for every x < k."""
+    _check_type("density", f, DiscreteDensity)
     m = f.mass
     return bool(np.all(m[1:] <= m[:-1]))
 

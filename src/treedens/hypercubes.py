@@ -45,6 +45,7 @@ import numpy as np
 from .densities import (
     DiscreteDensity,
     _check_int,
+    _check_type,
     _quote,
     is_convex_non_increasing,
     is_non_increasing,
@@ -190,6 +191,7 @@ class HypercubeSpec:
 
 def hypercube_bins(spec: HypercubeSpec) -> list[tuple[int, int]]:
     """The perturbation bins as (start, length) pairs with 1-based starts."""
+    _check_type("spec", spec, HypercubeSpec)
     starts = accumulate(spec.bin_lengths, initial=1)
     return list(zip(starts, spec.bin_lengths))
 
@@ -441,6 +443,7 @@ def assouad_density(spec: HypercubeSpec) -> DiscreteDensity:
     Atoms after the last bin carry zero mass in the monotone regimes and
     the convexity-preserving ramp in the convex ones.
     """
+    _check_type("spec", spec, HypercubeSpec)
     _check_int("k", spec.k, 1, error=InfeasibleSpec)
     if spec.regime == Regime.MONOTONE_LARGE_K:
         mass = _monotone_large(spec)
@@ -468,6 +471,7 @@ def assouad_alpha_beta(spec: HypercubeSpec) -> tuple[float, float]:
     Hellinger affinity of the full densities across a single bit flip.  Both
     feed the two-point risk bound reported by assouad_lower_bound.
     """
+    _check_type("spec", spec, HypercubeSpec)
     r, eps = spec.r, spec.epsilon
     if spec.regime == Regime.MONOTONE_LARGE_K:
         return eps / r, 1.0 - eps * eps / (2.0 * r)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .densities import _check_type
 from .errors import BadParam, DomainMismatch, EmptyCandidates
 from .metrics import _atoms
 from .sampling import SampleCounts
@@ -49,9 +50,9 @@ def _atom_matrix(candidates) -> np.ndarray:
 class CandidateSet:
     """An ordered list of candidate estimates over a shared domain.
 
-    candidates may be DiscreteDensity, PiecewiseEstimate, or raw atom-value
-    arrays (sub-normalized candidates are allowed; selection does not need
-    normalization).  labels, when given, must parallel candidates.  Two
+    candidates may be DiscreteDensity, PiecewiseEstimate, or vectors of
+    atom values (sub-normalized candidates are allowed; selection does not
+    need normalization).  labels, when given, must parallel candidates.  Two
     sets are equal when their labels and atom values are; a set is
     unhashable.
     """
@@ -134,6 +135,7 @@ def yatracos_class(cs: CandidateSet) -> list[frozenset[int]]:
     k atom labels are made once as Python ints and shared by every set,
     so no set allocates an int of its own.
     """
+    _check_type("candidates", cs, CandidateSet)
     labels = np.arange(1, cs.k + 1).astype(object)
     return [frozenset(labels[row].tolist()) for row in _comparison_masks(cs.atom_values)]
 
@@ -145,6 +147,8 @@ def minimum_distance_estimate(cs: CandidateSet, sc: SampleCounts) -> int:
     scores within 1e-12 of the minimum tie, and ties go to the smallest
     index, so reordering equal candidates cannot flip the answer.
     """
+    _check_type("candidates", cs, CandidateSet)
+    _check_type("sample", sc, SampleCounts)
     if sc.k != cs.k:
         raise DomainMismatch(f"sample on {sc.k} atoms, candidates on {cs.k}")
     if sc.n < 1:

@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .densities import DiscreteDensity, _check_int, _fsum
-from .errors import BadParam, BadParams, DomainMismatch, NegativeMass, TooLarge
+from .densities import DiscreteDensity, _check_int, _check_vector, _fsum
+from .errors import BadParams, DomainMismatch, NegativeMass, TooLarge
 from .partition_trees import PiecewiseEstimate
 
 __all__ = [
@@ -43,13 +43,7 @@ def _atoms(obj) -> np.ndarray:
         return obj.mass
     if isinstance(obj, PiecewiseEstimate):
         return obj.atom_values()
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadParam(f"atom values must be numbers: {exc}") from None
-    if arr.ndim != 1:
-        raise BadParam(f"atom values must be a 1-D vector, got shape {arr.shape}")
-    return arr
+    return _check_vector("atom values", obj)
 
 
 def _atom_pair(f, g) -> tuple[np.ndarray, np.ndarray]:

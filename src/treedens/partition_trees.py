@@ -47,6 +47,8 @@ from .densities import (
     DiscreteDensity,
     _atom_csv,
     _check_int,
+    _check_type,
+    _check_vector,
     _fsum,
     is_convex_non_increasing,
     is_non_increasing,
@@ -231,6 +233,7 @@ def _build_tree(arity: int, values: np.ndarray, total, rule, sc=None) -> Partiti
 def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
     """The sample-driven binary tree: split where the halves' counts differ
     by more than a standard deviation's worth."""
+    _check_type("sample", sc, SampleCounts)
     return _build_tree(2, sc.counts, sc.n, greedy_split_decision, sc)
 
 
@@ -245,6 +248,7 @@ def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
 
 def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
     """Sample-driven ternary tree splitting on the thirds' count curvature."""
+    _check_type("sample", sc, SampleCounts)
     return _build_tree(3, sc.counts, sc.n, greedy_ternary_split_decision, sc)
 
 
@@ -364,12 +368,9 @@ class PiecewiseEstimate:
 
     @classmethod
     def from_atom_values(cls, domain_k: int, values) -> PiecewiseEstimate:
-        """One constant piece per atom, with value float(values[x - 1])."""
+        """One constant piece per atom, valued as _check_vector reads values."""
         domain_k = _check_int("domain_k", domain_k, 1)
-        try:
-            values = tuple(map(float, np.asarray(values).tolist()))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadParam(f"atom values must be numbers: {exc}") from None
+        values = tuple(_check_vector("atom values", values).tolist())
         m = len(values)
         if not m:
             raise BadParam("an estimate needs at least one piece")
@@ -480,6 +481,7 @@ def _leaf_walk(t: PartitionTree, values: np.ndarray, scale: int, line, sc=None):
     before the totals are built; scale is n only for counts, so the last
     check passes for masses.
     """
+    _check_type("tree", t, PartitionTree)
     k = values.size
     if pad_to_power(k, t.arity) != t.padded_k:
         what = "counts" if values.dtype.kind in "iu" else "density"
@@ -536,6 +538,7 @@ def histogram_estimate(
 ) -> PiecewiseEstimate:
     """Leaf-interval histogram: each leaf gets its count spread uniformly
     over the leaf's full padded width."""
+    _check_type("sample", sc, SampleCounts)
     est = _leaf_walk(t, sc.counts, sc.n, None, sc)
     return _scaled(est, renormalize)
 
@@ -544,6 +547,7 @@ def idealized_pc_estimate(
     t: PartitionTree, f: DiscreteDensity, renormalize: bool = False
 ) -> PiecewiseEstimate:
     """Piecewise-constant projection of f itself onto the leaf partition."""
+    _check_type("density", f, DiscreteDensity)
     est = _leaf_walk(t, f.mass, 1, None)
     return _scaled(est, renormalize)
 
@@ -555,6 +559,7 @@ def idealized_pl_estimate(
     singleton leaves copy f exactly.  Values are not clamped, and the
     fitted lines need not preserve mass, so the estimate's total can
     differ from 1 even before truncation."""
+    _check_type("density", f, DiscreteDensity)
     est = _leaf_walk(t, f.mass, 1, _linear_row)
     return _scaled(est, renormalize)
 
@@ -566,6 +571,7 @@ def greedy_pl_estimate(
     clamped to zero: unlike the idealized averages, empirical thirds can
     slope either way.  As in idealized_pl_estimate, the fitted lines need
     not preserve mass."""
+    _check_type("sample", sc, SampleCounts)
     est = _leaf_walk(t, sc.counts, sc.n, _clamped_row, sc)
     return _scaled(est, renormalize)
 
@@ -583,6 +589,7 @@ def monotonize(e: PiecewiseEstimate) -> PiecewiseEstimate:
     their float.  The first non-finite value is refused before any pooling.
     The result's pieces are constant with zero slope and intercept.
     """
+    _check_type("estimate", e, PiecewiseEstimate)
     if any(e.linear):
         raise NotPiecewiseConstant("monotonize applies to piecewise-constant estimates")
     values, lengths = e.values, e.lengths

@@ -26,7 +26,7 @@ from math import fsum
 
 import numpy as np
 
-from .densities import FAMILY_NAMES, DiscreteDensity, _check_int, _json_text, family
+from .densities import FAMILY_NAMES, DiscreteDensity, _check_int, _check_type, _json_text, family
 from .errors import (
     BadParam,
     DegenerateGrid,
@@ -138,8 +138,8 @@ def fit_estimate(name: str, f: DiscreteDensity, sc: SampleCounts):
     inspectable one the CLI serializes.
     """
     fit = _entry(name)._fit
-    if not isinstance(f, DiscreteDensity) or not isinstance(sc, SampleCounts):
-        raise BadParam("fit_estimate needs a DiscreteDensity truth and a SampleCounts sample")
+    _check_type("the truth", f, DiscreteDensity)
+    _check_type("sample", sc, SampleCounts)
     if sc.k != f.k:
         raise DomainMismatch(f"the sample is over 1..{sc.k}, the truth over 1..{f.k}")
     tree, estimate = fit(f, sc.n, sc)
@@ -227,8 +227,7 @@ def mc_risk(
     threads = _check_int("threads", threads, 1)
     n = _check_int("n", n, 0, None)
     master_seed = _check_int("master_seed", master_seed, None, None)
-    if not isinstance(f, DiscreteDensity):
-        raise BadParam(f"the truth must be a DiscreteDensity, got {type(f).__name__}")
+    _check_type("the truth", f, DiscreteDensity)
 
     if fit is not None:
         losses = [tv(f.mass, fit(f, n, None)[1])] * reps

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DiscreteDensity, _atom_csv, _check_int, _quote
+from .densities import DiscreteDensity, _atom_csv, _check_int, _check_type, _check_vector, _quote
 from .errors import BadParam, DomainMismatch, OutOfRange
 
 _MASK64 = (1 << 64) - 1
@@ -64,19 +64,8 @@ class SampleCounts:
     def __post_init__(self):
         k = _check_int("k", self.k, 1)
         n = _check_int("n", self.n, 0, None)  # counts past 2**63 are kept exactly
-        try:
-            raw = np.asarray(self.counts)
-            vals = raw if raw.dtype.kind in "biu" else raw.astype(float)
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or too big
-            raise BadParam(f"counts must be a vector of integers: {exc}") from None
-        # NaN fails both tests; inf and overflow fail the range test; text
-        # that parses as numbers is still text, and a bool is no integer
-        if raw.dtype.kind in "SUb" or (
-            vals is not raw and not np.all((vals == np.trunc(vals)) & (np.abs(vals) < 2.0**63))
-        ):
-            raise BadParam("counts must be finite integers")
-        counts = np.array(raw, dtype=np.int64, ndmin=1)  # an own copy, frozen below
-        if counts.shape != (k,):
+        counts = _check_vector("counts", self.counts, integer=True)  # an own copy, frozen below
+        if counts.size != k:
             raise BadParam(f"expected {k} counts, got shape {counts.shape}")
         # two plain reductions: np.any(counts < 0) costs as much as both
         if counts.min(initial=0) < 0:
@@ -124,8 +113,7 @@ def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     edges (see the module docstring): O(n log n + k log n) time, one
     8n-byte buffer.  Anything but a DiscreteDensity raises BadParam.
     """
-    if not isinstance(density, DiscreteDensity):
-        raise BadParam(f"density must be a DiscreteDensity, got {type(density).__name__}")
+    _check_type("density", density, DiscreteDensity)
     n = _check_int("n", n, 0)
     seed = _check_int("seed", seed, 0, None)
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
@@ -153,6 +141,7 @@ def _counts_from_uniforms(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def interval_count(sc: SampleCounts, start: int, length: int) -> int:
     """Draws landing in the atoms {start, ..., start+length-1}, 1-based."""
+    _check_type("sample", sc, SampleCounts)
     start = _check_int("start", start, 1, sc.k, OutOfRange)
     length = _check_int("length", length, 1, sc.k - start + 1, OutOfRange)
     return _exact_sum(sc.counts[start - 1 : start - 1 + length])
@@ -213,6 +202,8 @@ def empirical_sup_deviation(sc: SampleCounts, density: DiscreteDensity, sets) ->
     sets is a collection of atom subsets (see subsets_to_masks); an empty
     collection has deviation 0.
     """
+    _check_type("sample", sc, SampleCounts)
+    _check_type("density", density, DiscreteDensity)
     if sc.k != density.k:
         raise DomainMismatch("counts and density must share the support size")
     masks = subsets_to_masks(sets, sc.k)
