@@ -270,15 +270,14 @@ def _quote(v) -> str:
 
 
 def _fsum(a: np.ndarray) -> float:
-    """math.fsum of a 1-D array, read through its float64 buffer.
+    """math.fsum of a 1-D float64 array, read through its buffer.
 
     The memoryview hands fsum the same floats in the same order as
     ``a.tolist()`` would, so the bits, and an OverflowError, are the same,
     but no k-element list is built: one float lives at a time.  A strided
-    array is copied to a contiguous one first; an int or object array is
-    converted to float64 first, each item rounded as fsum rounds it.
+    array is copied to a contiguous one first.
     """
-    return math.fsum(memoryview(np.ascontiguousarray(a, dtype=float)))
+    return math.fsum(memoryview(np.ascontiguousarray(a)))
 
 
 def _sum_decides(s: float, k: int) -> bool:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .densities import DiscreteDensity, _check_int, _check_vector, _fsum
-from .errors import BadParams, DomainMismatch, NegativeMass, TooLarge
+from .errors import BadParam, BadParams, DomainMismatch, NegativeMass, TooLarge
 from .partition_trees import PiecewiseEstimate
 
 __all__ = [
@@ -54,23 +54,38 @@ def _atom_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _finite_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _atom_pair(f, g)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise BadParam("atom values must be finite")
+    return a, b
+
+
 def tv(f, g) -> float:
     """Total variation distance: half the L1 distance between atom vectors.
 
     Accepts DiscreteDensity, PiecewiseEstimate, or a plain array of atom
-    values; the two domains must have equal size.
+    values; the two domains must have equal size.  A NaN or infinite atom
+    value, or a distance past the float range, raises BadParam.  Only the
+    result is checked, as every replication calls this, so infinities of
+    one sign at the same atom, or an overflowing sum, make numpy warn
+    before the refusal.
     """
     a, b = _atom_pair(f, g)
-    return 0.5 * float(np.abs(a - b).sum())
+    d = 0.5 * float(np.abs(a - b).sum())
+    if not math.isfinite(d):
+        raise BadParam(f"atom values must be finite, with a distance in the float range; got {d}")
+    return d
 
 
 def tv_sup_bruteforce(f, g) -> float:
     """sup_A |f(A) - g(A)| over all 2^k subsets of the domain.
 
     Equal to tv(f, g) when both arguments are genuine probability vectors;
-    kept as an independent oracle for exactly that identity.  Refuses k > 20.
+    kept as an independent oracle for exactly that identity.  Refuses k > 20
+    and, with BadParam, a NaN or infinite atom value.
     """
-    a, b = _atom_pair(f, g)
+    a, b = _finite_pair(f, g)
     k = a.shape[0]
     if k > _BRUTE_K_CAP:
         raise TooLarge(f"2^{k} subsets is past the brute-force cap of 2^{_BRUTE_K_CAP}")
@@ -82,8 +97,9 @@ def tv_sup_bruteforce(f, g) -> float:
 def hellinger_affinity(f, g) -> float:
     """Sum over atoms of sqrt(f(x) g(x)), in [0, 1] for probability vectors.
 
-    Raises NegativeMass when an atom of either argument is negative."""
-    a, b = _atom_pair(f, g)
+    Raises BadParam when an atom value is NaN or infinite, and NegativeMass
+    when an atom of either argument is negative."""
+    a, b = _finite_pair(f, g)
     if a.min(initial=0.0) < 0 or b.min(initial=0.0) < 0:
         raise NegativeMass("affinity needs non-negative atom values")
     return _fsum(np.sqrt(a * b))

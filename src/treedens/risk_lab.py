@@ -27,16 +27,7 @@ from math import fsum
 import numpy as np
 
 from .densities import FAMILY_NAMES, DiscreteDensity, _check_int, _check_type, _json_text, family
-from .errors import (
-    BadParam,
-    DegenerateGrid,
-    DomainMismatch,
-    EmptyFamily,
-    InfeasibleSpec,
-    OutOfRegime,
-    UnknownEstimator,
-)
-from .hypercubes import HypercubeSpec, Regime, assouad_default_params, assouad_density
+from .errors import BadParam, DegenerateGrid, DomainMismatch, EmptyFamily, UnknownEstimator
 from .metrics import _atoms, tv
 from .partition_trees import (
     PiecewiseEstimate,
@@ -308,20 +299,14 @@ def sup_risk(estimator, family_list, n: int, reps: int, seed: int, *, threads: i
 
 
 def default_sup_family(k: int, n: int) -> list[tuple[str, DiscreteDensity]]:
-    """The documented finite stand-in for the full non-increasing class.
+    """The documented finite stand-in for the full non-increasing class:
+    the four named shapes over 1..k, as (name, density) pairs.
 
-    Four named shapes plus, when the parameters are in range, the two
-    extreme corners of the small-k hypercube family, which are near worst
-    case for this problem.
+    The shapes do not depend on n, which is only checked to be a positive
+    integer, the sample size sup_risk would run them at.
     """
     out = [(name, family(name, k)) for name in FAMILY_NAMES]
-    try:
-        r, eps = assouad_default_params(Regime.MONOTONE_SMALL_K, n, k)
-        for label, bit in (("assouad-zeros", 0), ("assouad-ones", 1)):
-            spec = HypercubeSpec(Regime.MONOTONE_SMALL_K, n, k, r, eps, (bit,) * r)
-            out.append((label, assouad_density(spec)))
-    except (OutOfRegime, InfeasibleSpec):
-        pass  # out of regime or degenerate at this (n, k); the named four stand
+    _check_int("n", n, 1, None)
     return out
 
 

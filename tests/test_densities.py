@@ -313,17 +313,6 @@ def test_fsum_is_math_fsum_of_the_list(values, start, step):
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
-def test_fsum_rounds_int_and_object_items_as_fsum_does():
-    # estimates keep int and Fraction piece values, so total_mass sums such arrays
-    for a in (
-        np.array([2**53 + 1, 1, -3]),
-        np.array([Fraction(1, 3), Fraction(2, 3), Fraction(10**400, 10**399)], dtype=object),
-    ):
-        assert densities._fsum(a) == math.fsum(a.tolist())
-    with pytest.raises(OverflowError):
-        densities._fsum(np.array([10**400], dtype=object))
-
-
 # --- family bits and memory ----------------------------------------------------
 
 

@@ -48,6 +48,23 @@ def test_distances_take_only_atom_vectors(distance):
             distance(bad, bad)
     with pytest.raises(DomainMismatch, match="domain sizes differ: 2 vs 1"):
         distance([0.5, 0.5], [1.0])
+    # tv and hellinger_affinity returned nan here, tv_sup_bruteforce nan
+    # after a matmul warning
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0]):
+        for pair in ((bad, [0.5, 0.5]), ([0.5, 0.5], bad)):
+            with pytest.raises(BadParam, match="atom values must be finite"):
+                distance(*pair)
+
+
+def test_tv_refuses_what_numpy_warns_of_after_the_warning():
+    # tv checks only its result, so inf - inf and an overflowing sum warn
+    # inside numpy first
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(BadParam, match="atom values must be finite"):
+            tv([math.inf, 0.0], [math.inf, 1.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(BadParam, match="atom values must be finite"):
+            tv([1e308, 1e308], [0.0, 0.0])
 
 
 def test_bruteforce_matches_event_oracle():

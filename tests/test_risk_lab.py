@@ -10,6 +10,7 @@ import pytest
 from oracles import binom_mean_abs_dev
 from treedens import (
     ESTIMATORS,
+    FAMILY_NAMES,
     BadParam,
     DegenerateGrid,
     DomainMismatch,
@@ -156,28 +157,37 @@ def test_sup_risk_dominates_each_member():
         assert top.mean_tv >= rep.mean_tv - 1e-15
 
 
-def test_default_sup_family_lets_unexpected_errors_through(monkeypatch):
-    import treedens.risk_lab
-
-    def broken(spec):
-        raise TypeError("bug in the construction")
-
-    monkeypatch.setattr(treedens.risk_lab, "assouad_density", broken)
-    with pytest.raises(TypeError):
-        default_sup_family(64, 1000)
-
-
-def test_sup_risk_f64_family_dominates_uniform():
-    fam = default_sup_family(64, 1000)
-    assert [name for name, _ in fam][:4] == [
+@pytest.mark.parametrize("k, n", [(64, 1000), (64, 10_000), (512, 100_000)])
+def test_sup_risk_f64_family_dominates_uniform(k, n):
+    fam = default_sup_family(k, n)
+    assert [name for name, _ in fam] == [
         "uniform",
         "harmonic-zipf",
         "trunc-geometric",
         "linear-decreasing",
     ]
-    top = sup_risk("greedy-binary", fam, 1000, 5, 2)
-    uni = mc_risk("greedy-binary", family("uniform", 64), 1000, 5, 2)
+    top = sup_risk("greedy-binary", fam, n, 5, 2)
+    uni = mc_risk("greedy-binary", family("uniform", k), n, 5, 2)
     assert top.mean_tv >= uni.mean_tv - 1e-15
+
+
+def test_default_sup_family_is_the_four_shapes_at_every_n():
+    for k, n in ((2, 1), (64, 1000), (64, 10_000), (4096, 10**6), (64, 10**400)):
+        assert default_sup_family(k, n) == [(name, family(name, k)) for name in FAMILY_NAMES]
+    for bad in (0, -1, 1.5, "1000", None):
+        with pytest.raises(BadParam, match="n must be"):
+            default_sup_family(64, bad)
+
+
+def test_mc_risk_refuses_a_custom_estimate_with_non_finite_values():
+    f = family("uniform", 8)
+    for value in (math.nan, math.inf):
+        def bad(f, sc, value=value):
+            return np.full(f.k, value)
+
+        for threads in (1, 2):
+            with pytest.raises(BadParam, match="atom values must be finite"):
+                mc_risk(bad, f, 100, 3, 0, threads=threads)
 
 
 def test_rate_scaling_oracle_nan_flag():
