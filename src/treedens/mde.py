@@ -54,7 +54,8 @@ class CandidateSet:
     atom values (sub-normalized candidates are allowed; selection does not
     need normalization).  labels, when given, must parallel candidates.  Two
     sets are equal when their labels and atom values are; a set is
-    unhashable.
+    unhashable.  Pickling and copying call the constructor, so a copy is
+    checked anew and its atom values are read-only.
     """
 
     candidates: tuple = ()
@@ -78,6 +79,9 @@ class CandidateSet:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "atom_values", _atom_matrix(candidates))
         self.atom_values.setflags(write=False)
+
+    def __reduce__(self):
+        return type(self), (self.candidates, self.labels)
 
     def __eq__(self, other):
         if type(other) is not type(self):

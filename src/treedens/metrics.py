@@ -1,9 +1,11 @@
 """Distances, minimax rate curves, and combinatorial helpers.
 
 Total variation is the risk throughout the package.  The brute-force
-variants exist as oracles: tv_sup_bruteforce maximizes over every event
-explicitly, and vc_unions_intervals_brute searches every candidate shattered
-set.  Both are exponential on purpose and refuse inputs past a hard cap.
+variants exist as oracles: tv_sup_bruteforce reads TV as a sup over events
+and enumerates the 2^k subset sums of the atom differences, and
+vc_unions_intervals_brute enumerates the 2^d labelings of d ordered points
+and counts the intervals each one needs.  Both are exponential on purpose
+and refuse inputs past a hard cap.
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ def _finite_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _in_float_range(d: float) -> float:
+    if not math.isfinite(d):
+        raise BadParam(f"atom values must be finite, with a distance in the float range; got {d}")
+    return d
+
+
 def tv(f, g) -> float:
     """Total variation distance: half the L1 distance between atom vectors.
 
@@ -81,28 +89,35 @@ def tv(f, g) -> float:
 def tv_sup_bruteforce(f, g) -> float:
     """sup_A |f(A) - g(A)| over all 2^k subsets of the domain.
 
-    Equal to tv(f, g) when both arguments are genuine probability vectors;
-    kept as an independent oracle for exactly that identity.  Refuses k > 20
-    and, with BadParam, a NaN or infinite atom value.
+    Enumerates the 2^k subset sums of the differences f(x) - g(x) by
+    doubling, so each subset is summed in atom order.  Equal to tv(f, g)
+    when both arguments are genuine probability vectors; kept as an
+    independent oracle for exactly that identity.  Refuses k > 20 and, with
+    BadParam, a NaN or infinite atom value or a distance past the float
+    range.
     """
     a, b = _finite_pair(f, g)
     k = a.shape[0]
     if k > _BRUTE_K_CAP:
         raise TooLarge(f"2^{k} subsets is past the brute-force cap of 2^{_BRUTE_K_CAP}")
-    diff = a - b
-    masks = (np.arange(2**k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
-    return float(np.abs(masks @ diff).max())
+    sums = np.zeros(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in a - b:
+            sums = np.concatenate((sums, sums + d))
+        return _in_float_range(float(np.abs(sums).max()))
 
 
 def hellinger_affinity(f, g) -> float:
     """Sum over atoms of sqrt(f(x) g(x)), in [0, 1] for probability vectors.
 
-    Raises BadParam when an atom value is NaN or infinite, and NegativeMass
-    when an atom of either argument is negative."""
+    Raises BadParam when an atom value is NaN or infinite, or a product of
+    two is past the float range, and NegativeMass when an atom of either
+    argument is negative."""
     a, b = _finite_pair(f, g)
     if a.min(initial=0.0) < 0 or b.min(initial=0.0) < 0:
         raise NegativeMass("affinity needs non-negative atom values")
-    return _fsum(np.sqrt(a * b))
+    with np.errstate(over="ignore"):
+        return _in_float_range(_fsum(np.sqrt(a * b)))
 
 
 def assouad_lower_bound(r: int, alpha: float, beta: float, n: int) -> float:
@@ -180,50 +195,22 @@ def rate_convex(n: int, k: int) -> RateRegime:
     return _rate("convex", n, k, 5, 3.0, 2.0 / 5.0)
 
 
-def _realizable(selected: np.ndarray, ell: int) -> bool:
-    # selected is a sorted index array into the ground set; a union of at
-    # most ell intervals picks out exactly the sets forming <= ell runs of
-    # consecutive ground-set positions.
-    if selected.size == 0:
-        return True
-    runs = 1 + int(np.count_nonzero(np.diff(selected) > 1))
-    return runs <= ell
-
-
 def vc_unions_intervals_brute(ell: int, m: int) -> int:
     """VC dimension of unions of <= ell intervals on a line, by exhaustion.
 
-    Searches ground sets of m ordered points for the largest shattered
-    subset.  The answer is min(m, 2 ell); the search exists to certify that
-    independently.  Capped at ell <= 4, m <= 24.
+    d points on a line are shattered when each of their 2^d labelings is
+    realized, and only the points' order matters.  A union of ell intervals
+    realizes a labeling whose selected points form at most ell runs; a run
+    starts at each set bit whose lower neighbour is clear.  Shattering is
+    downward closed, so the search stops at the first d with a labeling of
+    more runs.  The answer is min(m, 2 ell); the search exists to certify
+    that independently.  Capped at ell <= 4, m <= 24.
     """
     ell = _check_int("ell", ell, 1, None, BadParams)
     m = _check_int("m", m, 1, None, BadParams)
     if ell > _VC_ELL_CAP or m > _VC_M_CAP:
         raise TooLarge(f"caps are ell <= {_VC_ELL_CAP}, m <= {_VC_M_CAP}")
-
-    from itertools import combinations
-
-    best = 0
     for d in range(1, m + 1):
-        found = None
-        for combo in combinations(range(m), d):
-            pts = np.array(combo)
-            # Cheap rejection: the alternating labeling forms the most runs,
-            # so test it before paying for the full 2^d scan.
-            alt = pts[::2]
-            if not _realizable(alt, ell):
-                continue
-            ok = True
-            for pattern in range(2**d):
-                sel = pts[[(pattern >> i) & 1 == 1 for i in range(d)]]
-                if not _realizable(sel, ell):
-                    ok = False
-                    break
-            if ok:
-                found = combo
-                break
-        if found is None:
-            break  # shattering is downward closed: no set of size d, none larger
-        best = d
-    return best
+        if any(bin(p & ~(p << 1)).count("1") > ell for p in range(2**d)):
+            return d - 1
+    return m

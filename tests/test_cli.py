@@ -407,6 +407,22 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_a_grid_entry_that_is_no_integer_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--family", "uniform", "--k", "4", "--n-grid", "10,x",
+             "--estimator", "oracle", "--reps", "2"])
+    assert exc.value.code == 2
+
+
+def test_assouad_theta_of_digits_other_than_bits_is_one_line_error(capsys):
+    code, out, err = _capture(
+        capsys,
+        ["assouad", "--regime", "convex-small-k", "--n", "1000000", "--k", "9", "--theta", "012"],
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("treedens assouad:") and err.count("\n") == 1
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-c", "from treedens.cli import main; main()", "vc", "--ell", "1", "--m", "4"],

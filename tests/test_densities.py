@@ -19,6 +19,7 @@ from treedens import (
     NegativeMass,
     NotNormalized,
     BadParam,
+    DomainMismatch,
     assouad_default_params,
     assouad_density,
     density_from_csv,
@@ -71,6 +72,11 @@ def test_non_finite_mass_rejected(mass):
         make_density(mass)
 
 
+def test_mass_length_must_equal_k():
+    with pytest.raises(BadParam, match="^mass must be a length-3 vector$"):
+        DiscreteDensity(3, [0.5, 0.5])
+
+
 def test_empty_mass_rejected():
     with pytest.raises(BadParam):
         make_density([])
@@ -88,6 +94,12 @@ def test_convex_predicate():
     assert not is_convex_non_increasing(make_density([0.4, 0.35, 0.25]))
     # fewer than 3 atoms: no second difference exists to violate
     assert is_convex_non_increasing(make_density([0.5, 0.5]))
+
+
+def test_convex_predicate_needs_non_increasing():
+    assert not is_convex_non_increasing(make_density([0.25, 0.5, 0.25]))
+    # second difference 0.5 - 0.2 + 0.4 >= 0: only monotonicity refuses it
+    assert not is_convex_non_increasing(make_density([0.5, 0.1, 0.4]))
 
 
 def test_predicates_are_exact_not_tolerant():
@@ -176,11 +188,17 @@ def test_csv_roundtrip():
         (density_from_csv, "index,mass\n1,a\n"),  # was ValueError
         (density_from_csv, "index,mass\n1\n"),  # was IndexError
         (density_from_csv, "index,mass\n1,0.5,9\n2,0.5\n"),  # the 9 was dropped
+        (density_from_csv, "index,mass\n1,0.5\n3,0.5\n"),  # index 2 missing
     ],
 )
 def test_malformed_text_is_rejected(read, text):
     with pytest.raises(BadParam):
         read(text)
+
+
+def test_json_k_must_equal_the_mass_length():
+    with pytest.raises(DomainMismatch, match="k field disagrees with mass length"):
+        density_from_json('{"k": 3, "mass": [0.5, 0.5]}')
 
 
 def test_trunc_geometric_rejects_a_ratio_that_is_not_a_number():

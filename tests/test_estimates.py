@@ -327,6 +327,16 @@ def test_from_atom_values():
         assert str(flat.value) == str(checked.value)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: PiecewiseEstimate(1, []), lambda: PiecewiseEstimate.from_atom_values(1, [])],
+    ids=["pieces", "atom-values"],
+)
+def test_an_estimate_needs_at_least_one_piece(build):
+    with pytest.raises(BadParam, match="^an estimate needs at least one piece$"):
+        build()
+
+
 @pytest.mark.parametrize("values", [["a", "b"], [[1, 2]]])
 def test_from_atom_values_rejects_values_that_are_not_numbers(values):
     # float() raised a bare ValueError or TypeError

@@ -73,6 +73,15 @@ def test_convex_small_default_r():
     assert r == 3
 
 
+def test_convex_large_defaults_at_the_smallest_k_of_the_regime():
+    # e^40 n^{1/5} is about 9.4e17 at n = 1000
+    r, eps = assouad_default_params(Regime.CONVEX_LARGE_K, 1000, 10**18)
+    assert r == 5 and eps == pytest.approx(0.2627380617421388, rel=1e-12)
+    assert _spec(Regime.CONVEX_LARGE_K, 1000, 10**18).bin_lengths == (3, 6, 9, 12, 18)
+    with pytest.raises(OutOfRegime):
+        assouad_default_params(Regime.CONVEX_LARGE_K, 1000, 10**17)
+
+
 def test_monotone_large_default_r_floor():
     n, k = 10**6, math.ceil(math.e**8 * 100)
     r, _ = assouad_default_params(Regime.MONOTONE_LARGE_K, n, k)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,14 @@ def test_candidate_set_rejects_non_finite_values(bad):
         CandidateSet([np.array([bad, 0.5, 0.25, 0.25]), family("uniform", 4).mass])
     with pytest.raises(BadParam, match="candidate 1"):
         CandidateSet([family("uniform", 4), np.array([0.25, 0.25, 0.5, bad])])
+
+
+def test_a_candidate_set_copies_through_its_constructor():
+    cs = CandidateSet([family("uniform", 4), np.array([0.4, 0.3, 0.2, 0.1])], labels=["u", "v"])
+    for back in (pickle.loads(pickle.dumps(cs)), copy.deepcopy(cs)):
+        assert back == cs and back.labels == ("u", "v")
+        assert not back.atom_values.flags.writeable
+        assert back.atom_values is not cs.atom_values
 
 
 @st.composite

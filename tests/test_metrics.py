@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,39 @@ def test_bruteforce_cap():
         tv_sup_bruteforce(np.ones(21) / 21, np.ones(21) / 21)
 
 
+def test_bruteforce_peak_memory_is_the_subset_sums():
+    # the 2^k final sums, the half-size array before them and one temporary
+    # make 2^(k+4) bytes
+    k = 20
+    rng = np.random.default_rng(19)
+    a, b = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+    slack = 2**16  # numpy array headers and Python objects
+    tracemalloc.start()
+    try:
+        got = tv_sup_bruteforce(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** (k + 4) + slack, peak
+    assert abs(got - tv(a, b)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "distance, f, g",
+    [
+        (hellinger_affinity, [1e200, 1.0], [1e200, 0.5]),
+        (tv_sup_bruteforce, [1e308, 1e308], [-1e308, 0.0]),
+    ],
+    ids=["hellinger_affinity", "tv_sup_bruteforce"],
+)
+def test_slow_distances_refuse_a_result_past_the_float_range(distance, f, g):
+    # finite atom values whose product or difference overflows
+    msg = r"^atom values must be finite, with a distance in the float range; got (inf|nan)$"
+    with pytest.raises(BadParam, match=msg):
+        distance(f, g)
+
+
 def test_hellinger_affinity_values():
     f = family("uniform", 3)
     assert hellinger_affinity(f, f) == pytest.approx(1.0, abs=1e-12)
@@ -125,6 +159,11 @@ def test_assouad_lower_bound_validation():
         assouad_lower_bound(1, 0.1, 1.5, 10)
     with pytest.raises(BadParams):
         assouad_lower_bound(1, 0.1, 0.9, 0)
+
+
+def test_assouad_lower_bound_refuses_an_r_past_the_float_range():
+    with pytest.raises(BadParams, match="^r or n is past the float range of the bound$"):
+        assouad_lower_bound(10**400, 0.5, 0.9, 1)
 
 
 def test_assouad_lower_bound_rejects_alpha_past_one():
@@ -204,16 +243,16 @@ def test_vc_known_values():
 
 
 def test_vc_matches_reference_search():
-    for ell in (1, 2):
+    for ell in (1, 2, 3):
         for m in (1, 2, 3, 4, 5, 6):
             assert vc_unions_intervals_brute(ell, m) == ref_vc_interval_unions(ell, m)
 
 
 def test_vc_equals_closed_form():
-    for ell in (1, 2, 3):
-        for m in (1, 3, 2 * ell - 1, 2 * ell, 2 * ell + 3):
-            if m >= 1:
-                assert vc_unions_intervals_brute(ell, m) == min(m, 2 * ell)
+    # every input under the caps ell <= 4, m <= 24
+    for ell in range(1, 5):
+        for m in range(1, 25):
+            assert vc_unions_intervals_brute(ell, m) == min(m, 2 * ell), (ell, m)
 
 
 def test_vc_caps_and_validation():

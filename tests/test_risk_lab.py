@@ -137,6 +137,11 @@ def test_sup_risk_single_density_equals_mc_risk():
     assert a == b
 
 
+def test_sup_risk_names_an_unnamed_member_by_its_position():
+    top = sup_risk("oracle", [family("uniform", 4)], 10, 1, 0)
+    assert top.density_name == "member-0"
+
+
 def test_sup_risk_empty_family():
     with pytest.raises(EmptyFamily):
         sup_risk("oracle", [], 10, 2, 0)

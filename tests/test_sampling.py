@@ -99,6 +99,11 @@ def test_sample_counts_validation():
         SampleCounts(k=2, n=1, counts=np.array([2, -1]))
 
 
+def test_sample_counts_reject_a_length_other_than_k():
+    with pytest.raises(BadParam, match=r"^expected 3 counts, got shape \(2,\)$"):
+        SampleCounts(3, 2, [1, 1])
+
+
 def test_sample_counts_reject_a_sum_that_wraps_int64():
     # the true total is 2**64 + 5; an int64 sum wraps it around to n = 5
     with pytest.raises(BadParam):
@@ -329,7 +334,7 @@ def test_subsets_to_masks_reject_an_index_array_that_is_not_flat(subset):
         subsets_to_masks([subset], 3)
 
 
-@pytest.mark.parametrize("sets", [[[1, [2, 3]]], [5], 5], ids=repr)
+@pytest.mark.parametrize("sets", [[[1, [2, 3]]], [5], 5, [np.array([True, False])]], ids=repr)
 def test_subsets_to_masks_reject_malformed_subsets(sets):
     # a ragged subset was numpy's bare ValueError, and a subset or
     # collection that is not iterable a bare TypeError
