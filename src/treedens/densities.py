@@ -16,7 +16,9 @@ a bool as 0.0 or 1.0, and NaN and inf are left to the caller; counts are
 read exactly as int64, and a bool, a non-integral item or one past int64
 is refused.  A function taking a record (a density, sample, tree,
 estimate, spec or candidate set) refuses anything else with BadParam
-before it reads an attribute (_check_type).
+before it reads an attribute (_check_type).  A collection of items is
+read by _check_items: tuple(v), else BadParam.  The six records share one
+copy, pickle and equality protocol, _Record.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -48,8 +50,33 @@ LINEAR_DECREASING = "linear-decreasing"
 FAMILY_NAMES = (UNIFORM, HARMONIC_ZIPF, TRUNC_GEOMETRIC, LINEAR_DECREASING)
 
 
+class _Record:
+    """The six records' protocol.  _args names the checked constructor's
+    arguments, kept as attributes of those names: a pickle or copy goes
+    through that constructor, and _trusted(*values) skips its checks.  A
+    dataclass(eq=False) record compares its compared fields by value,
+    arrays by np.array_equal, and is unhashable."""
+
+    @classmethod
+    def _trusted(cls, *values):
+        rec = cls.__new__(cls)
+        rec.__dict__.update(zip(cls._args, values))
+        return rec
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    __hash__ = None
+
+
 @dataclass(frozen=True, eq=False)
-class DiscreteDensity:
+class DiscreteDensity(_Record):
     """A probability mass function on atoms 1..k.
 
     ``mass[i]`` is the probability of atom ``i + 1``; the atom labels are
@@ -69,6 +96,7 @@ class DiscreteDensity:
 
     k: int
     mass: np.ndarray
+    _args = ("k", "mass")
 
     def __post_init__(self):
         k = _check_int("k", self.k, 1)
@@ -98,16 +126,6 @@ class DiscreteDensity:
         edges = np.cumsum(self.mass)
         edges.setflags(write=False)
         return edges
-
-    def __reduce__(self):
-        return type(self), (self.k, self.mass)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.k == other.k and np.array_equal(self.mass, other.mass)
-
-    __hash__ = None
 
     def __call__(self, x: int) -> float:
         """Mass of atom x (1-based)."""
@@ -229,6 +247,14 @@ def _check_type(name: str, v, cls) -> None:
         raise BadParam(f"{name} must be a {cls.__name__}, got {type(v).__name__}")
 
 
+def _check_items(name: str, v, what: str) -> tuple:
+    """The collection rule: tuple(v), or BadParam when v is not iterable."""
+    try:
+        return tuple(v)
+    except TypeError:
+        raise BadParam(f"{name} must be an iterable of {what}") from None
+
+
 def _check_vector(name: str, v, integer: bool = False) -> np.ndarray:
     """The package's one vector rule (see the module docstring): v as a 1-D
     float64 array, v itself if it is one and else a fresh one, or when
@@ -327,6 +353,8 @@ def density_from_json(text: str) -> DiscreteDensity:
 
 
 def density_from_csv(text: str) -> DiscreteDensity:
+    if not isinstance(text, str):
+        raise BadParam(f"csv text must be a str, got {type(text).__name__}")
     rows = list(csv.reader(io.StringIO(text)))
     if rows and rows[0][:1] == ["index"]:
         rows = rows[1:]
@@ -378,7 +406,9 @@ def family(name: str, k: int, param: float | None = None) -> DiscreteDensity:
     also convex non-increasing ("harmonic-zipf" is convex since 1/x is).
     """
     k = _check_int("k", k, 1)
-    if param is not None and name in (UNIFORM, HARMONIC_ZIPF, LINEAR_DECREASING):
+    if not isinstance(name, str) or name not in FAMILY_NAMES:
+        raise BadParam(f"unknown family {name!r}")
+    if param is not None and name != TRUNC_GEOMETRIC:
         raise BadParam(f"{name} takes no parameter")
     if name == UNIFORM:
         mass = np.full(k, 1.0 / k)
@@ -392,13 +422,11 @@ def family(name: str, k: int, param: float | None = None) -> DiscreteDensity:
             raise BadParam(f"trunc-geometric needs a ratio in (0, 1), got {param!r}")
         mass = param ** np.arange(k, dtype=float)
         mass /= _fsum(mass)
-    elif name == LINEAR_DECREASING:
+    else:  # linear-decreasing
         # mass[x] = (k + 1 - x) c 2**-q with c ~ 2**30: for k <= 2**22 every
         # value is an integer below 2**53 times 2**-q, so the second
         # differences are exactly 0 and the family is exactly convex
         total = k * (k + 1) // 2
         q = 30 + total.bit_length()
         mass = np.arange(k, 0, -1, dtype=float) * (round(2**q / total) * 2.0**-q)
-    else:
-        raise BadParam(f"unknown family {name!r}")
     return DiscreteDensity(k=k, mass=mass)

@@ -45,8 +45,10 @@ import numpy as np
 from .densities import (
     DiscreteDensity,
     _check_int,
+    _check_items,
     _check_type,
     _quote,
+    _Record,
     is_convex_non_increasing,
     is_non_increasing,
 )
@@ -133,7 +135,7 @@ _REGIMES = {
 
 
 @dataclass(frozen=True)
-class HypercubeSpec:
+class HypercubeSpec(_Record):
     """Validated parameters (regime, n, k, r, epsilon, theta) of one member.
 
     n is the sample size the family is tuned against; it does not affect
@@ -146,7 +148,7 @@ class HypercubeSpec:
     (2 or 3 atoms each) before theta is read or any bin is built, so a huge
     r fails in O(1), and the growing large-k layouts stop as soon as their
     running total passes k, so an infeasible r builds at most about k/2
-    bins.
+    bins.  A pickle or copy is built and checked anew.
     """
 
     regime: Regime
@@ -156,6 +158,7 @@ class HypercubeSpec:
     epsilon: float
     theta: tuple[int, ...]
     bin_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _args = ("regime", "n", "k", "r", "epsilon", "theta")
 
     def __post_init__(self):
         # no upper bound: a spec builds no array, and specs are built at k = 10**400
@@ -170,10 +173,7 @@ class HypercubeSpec:
         if not in_range(eps):
             raise InfeasibleSpec(f"epsilon must lie in {accepted}")
         self._fits(width * self.r, at_least=layout is not None)
-        try:
-            bits = tuple(self.theta)
-        except TypeError:
-            bits = ()
+        bits = _check_items("theta", self.theta, "bits")
         if len(bits) != self.r:
             raise BadParam(f"theta must be a vector of {_quote(self.r)} bits")
         self.__dict__["theta"] = tuple(_check_int("theta bit", b, 0, 1) for b in bits)

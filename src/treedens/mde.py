@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import _check_type
+from .densities import _check_items, _check_type, _Record
 from .errors import BadParam, DomainMismatch, EmptyCandidates
 from .metrics import _atoms
 from .sampling import SampleCounts
@@ -47,7 +47,7 @@ def _atom_matrix(candidates) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CandidateSet:
+class CandidateSet(_Record):
     """An ordered list of candidate estimates over a shared domain.
 
     candidates may be DiscreteDensity, PiecewiseEstimate, or vectors of
@@ -58,37 +58,22 @@ class CandidateSet:
     checked anew and its atom values are read-only.
     """
 
-    candidates: tuple = ()
+    candidates: tuple = field(default=(), compare=False)
     labels: tuple = None
-    atom_values: np.ndarray = field(init=False, repr=False, compare=False)
+    atom_values: np.ndarray = field(init=False, repr=False)
+    _args = ("candidates", "labels")
 
     def __init__(self, candidates, labels=None):
-        candidates = tuple(candidates)
+        candidates = _check_items("candidates", candidates, "candidate estimates")
         if not candidates:
             raise EmptyCandidates("need at least one candidate")
         if labels is not None:
-            try:
-                labels = tuple(str(s) for s in labels)
-            except TypeError:
-                raise BadParam(f"labels must be iterable, got {labels!r}") from None
+            labels = tuple(map(str, _check_items("labels", labels, "labels")))
             if len(labels) != len(candidates):
-                raise BadParam(
-                    f"{len(labels)} labels for {len(candidates)} candidates"
-                )
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "atom_values", _atom_matrix(candidates))
-        self.atom_values.setflags(write=False)
-
-    def __reduce__(self):
-        return type(self), (self.candidates, self.labels)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.atom_values, other.atom_values)
-
-    __hash__ = None
+                raise BadParam(f"{len(labels)} labels for {len(candidates)} candidates")
+        vals = _atom_matrix(candidates)
+        vals.setflags(write=False)
+        self.__dict__.update(candidates=candidates, labels=labels, atom_values=vals)
 
     def __len__(self) -> int:
         return len(self.candidates)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,9 +48,11 @@ from .densities import (
     DiscreteDensity,
     _atom_csv,
     _check_int,
+    _check_items,
     _check_type,
     _check_vector,
     _fsum,
+    _Record,
     is_convex_non_increasing,
     is_non_increasing,
 )
@@ -90,7 +93,7 @@ class TreeNode:
 
 
 @dataclass(frozen=True)
-class PartitionTree:
+class PartitionTree(_Record):
     """A partition tree kept as its leaves: spans holds each leaf's
     (start, length) in left-to-right order, and the spans tile the
     padded domain.  Internal nodes are implied by the arity.
@@ -98,11 +101,12 @@ class PartitionTree:
     The constructor checks that the tree is one a builder could make:
     padded_k is a power of the arity, and each span's length is a power
     of the arity that divides start - 1.  _build_tree makes its trees
-    through the unchecked _trusted."""
+    through the unchecked _trusted; a pickle or copy is checked anew."""
 
     arity: int
     padded_k: int
     spans: tuple[tuple[int, int], ...]
+    _args = ("arity", "padded_k", "spans")
 
     def __post_init__(self):
         padded_k = _check_int("padded_k", self.padded_k, 1)
@@ -123,14 +127,6 @@ class PartitionTree:
         if pos != padded_k + 1:
             raise BadParam(f"spans cover 1..{pos - 1}, padded domain is 1..{padded_k}")
         self.__dict__.update(arity=int(self.arity), padded_k=padded_k, spans=tuple(spans))
-
-    @classmethod
-    def _trusted(cls, arity: int, padded_k: int, spans: tuple) -> PartitionTree:
-        """A tree whose spans are already aligned leaves tiling
-        1..padded_k, wrapped without the checks."""
-        tree = cls.__new__(cls)
-        tree.__dict__.update(arity=arity, padded_k=padded_k, spans=spans)
-        return tree
 
     def leaves(self) -> list[TreeNode]:
         """Leaves in left-to-right order; their intervals tile the domain."""
@@ -153,7 +149,8 @@ class PartitionTree:
 
 
 def greedy_split_decision(n_left: int, n_right: int) -> bool:
-    """|n_left - n_right| > sqrt(n_left + n_right), as exact integers."""
+    """|n_left - n_right| > sqrt(n_left + n_right), as exact integers.
+    The builders call it on every node, so its arguments are not checked."""
     d = n_left - n_right
     return d * d > n_left + n_right
 
@@ -162,7 +159,8 @@ def greedy_ternary_split_decision(n_left: int, n_mid: int, n_right: int) -> bool
     """Second difference of the thirds' counts exceeds sqrt of their sum.
 
     The sign check matters: squaring alone would also split on strongly
-    concave count patterns.
+    concave count patterns.  The builders call it on every node, so its
+    arguments are not checked.
     """
     d = n_left - 2 * n_mid + n_right
     return d > 0 and d * d > n_left + n_mid + n_right
@@ -240,7 +238,7 @@ def build_greedy_binary(sc: SampleCounts) -> PartitionTree:
 def build_idealized_binary(f: DiscreteDensity, n: int) -> PartitionTree:
     """The deterministic binary tree the greedy one imitates: counts are
     replaced by their expectations under f at sample size n."""
-    n = _check_int("n", n, 1, None)
+    n = _check_int("n", n, 1, sys.float_info.max)  # the rule divides by float(n)
     if not is_non_increasing(f):
         raise NotMonotone("the idealized binary tree needs a non-increasing density")
     return _build_tree(2, f.mass, 1, lambda fv, fw: fv - fw > math.sqrt((fv + fw) / n))
@@ -255,7 +253,7 @@ def build_greedy_ternary(sc: SampleCounts) -> PartitionTree:
 def build_idealized_ternary(f: DiscreteDensity, n: int) -> PartitionTree:
     """Deterministic ternary tree splitting where f's interval masses have
     curvature above the sampling noise scale."""
-    n = _check_int("n", n, 1, None)
+    n = _check_int("n", n, 1, sys.float_info.max)
     if not is_convex_non_increasing(f):
         raise NotConvex("the idealized ternary tree needs a convex non-increasing density")
     return _build_tree(
@@ -286,7 +284,7 @@ class Piece:
     intercept: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "linear"):
+        if not isinstance(self.kind, str) or self.kind not in ("constant", "linear"):
             raise BadParam(f"unknown piece kind {self.kind!r}")
         for name in ("start", "length"):
             self.__dict__[name] = _check_int(name, getattr(self, name), 1)
@@ -311,7 +309,7 @@ _columns = attrgetter(*_COLUMNS)
 
 
 @dataclass(frozen=True, init=False, repr=False)
-class PiecewiseEstimate:
+class PiecewiseEstimate(_Record):
     """A density estimate given piecewise over {1, ..., domain_k}.
 
     The estimate is kept flat, one tuple per piece field in left-to-right
@@ -325,7 +323,8 @@ class PiecewiseEstimate:
     that they tile the domain consecutively.  It does not police value
     signs: the estimators here produce values >= 0 up to float error at
     the scales they are specified for, and that property is asserted in
-    tests rather than silently repaired.
+    tests rather than silently repaired.  A pickle or copy is rebuilt
+    from (domain_k, pieces) by that constructor, so it builds .pieces.
     """
 
     domain_k: int
@@ -335,14 +334,12 @@ class PiecewiseEstimate:
     values: tuple
     slopes: tuple
     intercepts: tuple
+    _args = ("domain_k", "pieces")
 
     def __init__(self, domain_k: int, pieces):
         domain_k = _check_int("domain_k", domain_k, 1)
-        try:
-            pieces = tuple(pieces)
-        except TypeError:
-            pieces = None
-        if pieces is None or not all(isinstance(p, Piece) for p in pieces):
+        pieces = _check_items("pieces", pieces, "Piece records")
+        if not all(isinstance(p, Piece) for p in pieces):
             raise BadParam("pieces must be an iterable of Piece records")
         if not pieces:
             raise BadParam("an estimate needs at least one piece")
@@ -519,6 +516,8 @@ def _leaf_walk(t: PartitionTree, values: np.ndarray, scale: int, line, sc=None):
 
 
 def _scaled(est: PiecewiseEstimate, renormalize: bool) -> PiecewiseEstimate:
+    if type(renormalize) not in (bool, np.bool_):
+        raise BadParam(f"renormalize must be a bool, got {type(renormalize).__name__}")
     if not renormalize:
         return est
     mass = est.total_mass()

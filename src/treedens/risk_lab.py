@@ -26,7 +26,9 @@ from math import fsum
 
 import numpy as np
 
-from .densities import FAMILY_NAMES, DiscreteDensity, _check_int, _check_type, _json_text, family
+from .densities import (
+    FAMILY_NAMES, DiscreteDensity, _check_int, _check_items, _check_type, _json_text, family
+)
 from .errors import BadParam, DegenerateGrid, DomainMismatch, EmptyFamily, UnknownEstimator
 from .metrics import _atoms, tv
 from .partition_trees import (
@@ -247,7 +249,7 @@ def mc_risk(
         se = math.sqrt(var / reps)
     return RiskReport(
         estimator_name=name,
-        density_name=density_name,
+        density_name=str(density_name),
         n=n,
         k=f.k,
         replications=reps,
@@ -258,13 +260,8 @@ def mc_risk(
 
 
 def _named_members(family_list) -> list[tuple[str, DiscreteDensity]]:
-    try:
-        members = list(family_list)
-    except TypeError:
-        name = type(family_list).__name__
-        raise BadParam(f"the family must be an iterable of densities, got {name}") from None
     out = []
-    for i, member in enumerate(members):
+    for i, member in enumerate(_check_items("the family", family_list, "densities")):
         if isinstance(member, DiscreteDensity):
             member = (f"member-{i}", member)
         try:
@@ -357,7 +354,7 @@ def rate_scaling(
     points.
     """
     seed = _check_int("seed", seed, None, None)
-    n_grid = [_grid_point(v) for v in n_grid]
+    n_grid = [_grid_point(v) for v in _check_items("n_grid", n_grid, "integers")]
     if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DegenerateGrid(
             f"need a strictly increasing grid of >= 3 points, got {n_grid}"

@@ -14,12 +14,11 @@ ever built.  The edges are computed once per density, which keeps them.
 A sample's counts are its own read-only copy, so the tree builders can
 keep their running totals on it (see partition_trees).
 
-sample takes only a DiscreteDensity and wraps its counts with the unchecked
-SampleCounts._trusted: they are the differences of a non-decreasing int64
-sequence that runs from 0 to n, so they are already a C-contiguous int64
-vector of k non-negative entries summing to n, and every check the public
-constructor makes holds by construction.  SampleCounts(k, n, counts)
-called from anywhere else keeps every check.
+sample takes only a DiscreteDensity, and freezes its counts and wraps them
+with the unchecked SampleCounts._trusted: they are the differences of a
+non-decreasing int64 sequence that runs from 0 to n, so every check the
+public constructor makes holds by construction.  SampleCounts(k, n,
+counts) called from anywhere else, a pickle or a copy keeps every check.
 """
 
 from __future__ import annotations
@@ -28,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DiscreteDensity, _atom_csv, _check_int, _check_type, _check_vector, _quote
+from .densities import (
+    DiscreteDensity, _atom_csv, _check_int, _check_items, _check_type, _check_vector, _quote, _Record
+)
 from .errors import BadParam, DomainMismatch, OutOfRange
 
 _MASK64 = (1 << 64) - 1
@@ -50,7 +51,7 @@ def derive_seed(master_seed: int, replication: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleCounts:
+class SampleCounts(_Record):
     """Counts of n i.i.d. draws over the atoms 1..k, kept as a read-only
     int64 copy.  What is derived from them may be kept under a private
     name.  Equality compares k, n and counts by value, repr shows only
@@ -60,6 +61,7 @@ class SampleCounts:
     k: int
     n: int
     counts: np.ndarray
+    _args = ("k", "n", "counts")
 
     def __post_init__(self):
         k = _check_int("k", self.k, 1)
@@ -75,26 +77,6 @@ class SampleCounts:
             raise BadParam(f"counts sum to {total}, not n={_quote(n)}")
         counts.setflags(write=False)
         self.__dict__.update(k=k, n=n, counts=counts)
-
-    @classmethod
-    def _trusted(cls, k: int, n: int, counts: np.ndarray) -> SampleCounts:
-        """Counts already known to be k non-negative C-contiguous int64
-        entries summing to n, in an array no one else holds, wrapped
-        without the checks and frozen."""
-        counts.setflags(write=False)
-        sc = cls.__new__(cls)
-        sc.__dict__.update(k=k, n=n, counts=counts)
-        return sc
-
-    def __reduce__(self):
-        return type(self), (self.k, self.n, self.counts)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.k, self.n) == (other.k, other.n) and np.array_equal(self.counts, other.counts)
-
-    __hash__ = None
 
     def frequencies(self) -> np.ndarray:
         """Empirical per-atom probabilities; the zero measure when n = 0."""
@@ -117,7 +99,9 @@ def sample(density: DiscreteDensity, n: int, seed: int) -> SampleCounts:
     n = _check_int("n", n, 0)
     seed = _check_int("seed", seed, 0, None)
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
-    return SampleCounts._trusted(density.k, n, _counts_from_uniforms(density._cdf, u))
+    counts = _counts_from_uniforms(density._cdf, u)
+    counts.setflags(write=False)
+    return SampleCounts._trusted(density.k, n, counts)
 
 
 def _counts_from_uniforms(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -159,17 +143,15 @@ def subsets_to_masks(sets, k: int) -> np.ndarray:
 
     Each subset may be an iterable of 1-based atom indices or a length-k
     boolean mask; an empty collection gives a (0, k) matrix.  Indices must
-    be integers, though integral floats such as 1.0 are taken as the ints
-    they equal.
+    be integers, never a bool, though integral floats such as 1.0 are
+    taken as the ints they equal.
     """
+    k = _check_int("k", k, 1)
     rows = []
-    try:
-        sets = iter(sets)
-    except TypeError:
-        raise BadParam(f"sets must be a collection of atom subsets, got {sets!r}") from None
-    for s in sets:
+    for s in _check_items("sets", sets, "atom subsets"):
         try:
-            arr = np.asarray(list(s) if not isinstance(s, np.ndarray) else s)
+            items = s if isinstance(s, np.ndarray) else list(s)
+            arr = np.asarray(items)
         except (TypeError, ValueError):
             raise BadParam(f"an atom subset must be a flat collection, got {s!r}") from None
         if arr.dtype == bool:
@@ -182,12 +164,16 @@ def subsets_to_masks(sets, k: int) -> np.ndarray:
         mask = np.zeros(k, dtype=bool)
         if arr.size:
             # NaN and inf fail the integral test, and the range is checked
-            # before the int64 cast, which would wrap a huge index
-            if arr.dtype.kind not in "iuf" or (
-                arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
+            # before the int64 cast, which would wrap a huge index; numpy
+            # reads a bool as 0 or 1, so only a list below 2 is scanned for one
+            low = arr.min() if arr.dtype.kind in "iuf" else None
+            if (
+                low is None
+                or (arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.trunc(arr))))
+                or (low < 2 and type(items) is list and {bool, np.bool_} & set(map(type, items)))
             ):
                 raise BadParam(f"atom indices must be integers in 1..{k}, got {s!r}")
-            if np.any(arr < 1) or np.any(arr > k):
+            if low < 1 or arr.max() > k:
                 raise OutOfRange(f"atom indices must lie in 1..{k}")
             mask[arr.astype(np.int64) - 1] = True
         rows.append(mask)

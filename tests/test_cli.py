@@ -601,3 +601,15 @@ def test_random_argvs_end_in_one_of_three_ways(argv):
         assert err.getvalue().count("\n") == 1, argv
     else:
         assert (code, err.getvalue()) == (0, ""), argv
+
+
+def test_an_idealized_n_past_the_float_range_is_one_line_error(capsys):
+    # died with an OverflowError traceback from (fv + fw) / n
+    argv = [
+        "simulate", "--family", "harmonic-zipf", "--k", "8", "--n", "1" + "0" * 400,
+        "--estimator", "idealized-binary", "--reps", "1",
+    ]
+    code, out, err = _capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("treedens simulate: n must be an integer of at most 1.79")
+    assert err.count("\n") == 1

@@ -588,3 +588,23 @@ def test_atom_csv_splits_signed_zeros_and_keeps_nan():
         "x,value\n1,0.0\n2,-0.0\n3,-0.0\n4,0.0\n5,nan\n6,nan\n7,1.0\n"
     )
     assert densities._atom_csv("x,value", np.array([], dtype=float)) == "x,value\n"
+
+
+@pytest.mark.parametrize(
+    "text", [5, None, b"index,mass\n1,1.0\n", ["1,1.0"]], ids=["int", "None", "bytes", "list"]
+)
+def test_csv_text_must_be_a_str(text):
+    # 5 and None raised a bare TypeError from io.StringIO
+    with pytest.raises(BadParam, match="^csv text must be a str, got "):
+        density_from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [np.zeros((2, 2)), np.array(["uniform"]), 3, None],
+    ids=["2-d array", "array of a name", "int", "None"],
+)
+def test_a_family_name_must_be_a_str(name):
+    # an array raised a bare ValueError (the truth value of an array)
+    with pytest.raises(BadParam, match="^unknown family "):
+        family(name, 9)

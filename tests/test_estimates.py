@@ -600,3 +600,30 @@ def test_greedy_trees_split_on_the_exact_rule_near_a_square_past_2_53():
     sc = SampleCounts(k=3, n=s, counts=counts)
     assert build_greedy_ternary(sc).spans == ((1, 1), (2, 1), (3, 1))
     assert build_greedy_ternary(sc).leaf_intervals() == ref_greedy_ternary_leaves(counts)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [np.zeros((2, 2)), np.array(["constant"]), 1, None],
+    ids=["2-d array", "array of a kind", "int", "None"],
+)
+def test_a_piece_kind_must_be_a_str(kind):
+    # an array raised a bare ValueError (the truth value of an array), or
+    # passed as "constant"
+    with pytest.raises(BadParam, match="^unknown piece kind "):
+        Piece(1, 1, kind, 1.0)
+
+
+@pytest.mark.parametrize(
+    "flag", [np.zeros((2, 2)), 1, "x", None], ids=["2-d array", "int", "str", "None"]
+)
+def test_the_renormalize_flag_must_be_a_bool(flag):
+    # a 2-d array raised a bare ValueError (the truth value of an array),
+    # and anything else was read by its truth
+    f = family("harmonic-zipf", 9)
+    t = build_idealized_ternary(f, 50)
+    for build, _, reads_counts in BUILDERS:
+        arg = sample(f, 50, 0) if reads_counts else f
+        with pytest.raises(BadParam, match="^renormalize must be a bool, got "):
+            build(t, arg, renormalize=flag)
+        assert build(t, arg, renormalize=np.True_) == build(t, arg, renormalize=True)

@@ -7,7 +7,9 @@ sample's counts) passes densities._check_vector, so one input gets one
 verdict at every site: the float sites read it as the same float64 bits,
 SampleCounts as the same exact ints, or each refuses it with BadParam.
 Every function taking a record refuses anything else with BadParam
-naming the record's type, before it reads an attribute of it."""
+naming the record's type, before it reads an attribute of it.  Every
+collection of items passes densities._check_items, which refuses what
+tuple() cannot read with one BadParam per site."""
 
 from fractions import Fraction
 
@@ -17,7 +19,9 @@ import pytest
 from treedens import (
     BadParam,
     CandidateSet,
+    HypercubeSpec,
     PiecewiseEstimate,
+    Regime,
     SampleCounts,
     assouad_alpha_beta,
     assouad_density,
@@ -39,7 +43,10 @@ from treedens import (
     make_density,
     minimum_distance_estimate,
     monotonize,
+    rate_scaling,
     sample,
+    subsets_to_masks,
+    sup_risk,
     tv,
     yatracos_class,
 )
@@ -175,3 +182,42 @@ _RECORD_CALLS = [
 def test_every_record_argument_refuses_anything_else(call, record):
     with pytest.raises(BadParam, match=f"must be a {record}, got NoneType$"):
         call()
+
+
+# (site, call taking the collection, its message); every site had a rule
+# of its own, and CandidateSet and rate_scaling none: they raised a bare
+# TypeError ('int' object is not iterable)
+_COLLECTION_SITES = [
+    ("pieces", lambda v: PiecewiseEstimate(1, v), "pieces must be an iterable of Piece records"),
+    (
+        "theta",
+        lambda v: HypercubeSpec(Regime.MONOTONE_SMALL_K, 10, 4, 2, 0.5, v),
+        "theta must be an iterable of bits",
+    ),
+    ("labels", lambda v: CandidateSet([_F], v), "labels must be an iterable of labels"),
+    ("candidates", CandidateSet, "candidates must be an iterable of candidate estimates"),
+    (
+        "family",
+        lambda v: sup_risk("oracle", v, 10, 1, 0),
+        "the family must be an iterable of densities",
+    ),
+    ("sets", lambda v: subsets_to_masks(v, 3), "sets must be an iterable of atom subsets"),
+    (
+        "n_grid",
+        lambda v: rate_scaling("oracle", "uniform", v, 8, 1, 0),
+        "n_grid must be an iterable of integers",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [c[1:] for c in _COLLECTION_SITES], ids=[c[0] for c in _COLLECTION_SITES]
+)
+@pytest.mark.parametrize(
+    "value",
+    [5, 2.5, np.float64(2.0), np.array(3), object()],
+    ids=["int", "float", "np.float64", "0-d array", "object"],
+)
+def test_every_collection_refuses_what_is_not_iterable(call, message, value):
+    with pytest.raises(BadParam, match=f"^{message}$"):
+        call(value)

@@ -417,3 +417,16 @@ def test_sup_risk_rejects_a_family_that_is_not_iterable():
     # a bare TypeError from iterating the int before
     with pytest.raises(BadParam):
         sup_risk("oracle", 5, 10, 1, 0)
+
+
+def test_an_idealized_n_past_the_float_range_is_refused_by_mc_risk():
+    # raised a bare OverflowError from the split rule's division by n
+    with pytest.raises(BadParam, match="^n must be an integer of at most 1.797"):
+        mc_risk("idealized-binary", family("harmonic-zipf", 10), 10**400, 1, 0)
+
+
+def test_the_density_name_is_kept_as_text():
+    # np.int64(3) was kept as it was, and to_json raised a bare TypeError
+    rep = mc_risk("oracle", family("uniform", 10), 10, 1, 0, density_name=np.int64(3))
+    assert rep.density_name == "3"
+    assert json.loads(rep.to_json())["density_name"] == "3"

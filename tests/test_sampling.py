@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 from types import SimpleNamespace
@@ -15,13 +16,21 @@ from treedens import (
     CandidateSet,
     DiscreteDensity,
     DomainMismatch,
+    HypercubeSpec,
+    InfeasibleSpec,
     NotNormalized,
     OutOfRange,
+    PartitionTree,
+    PiecewiseEstimate,
+    Regime,
     SampleCounts,
     build_greedy_binary,
+    build_greedy_ternary,
     derive_seed,
     empirical_sup_deviation,
     family,
+    greedy_pl_estimate,
+    histogram_estimate,
     interval_count,
     make_density,
     sample,
@@ -180,16 +189,85 @@ def test_a_sample_is_what_the_checked_constructor_accepts_and_copies_as_itself(w
         assert not [name for name in vars(back) if name.startswith("_")]
 
 
+def _around_the_checks(cls, **fields):
+    """A cls holding fields its constructor refuses, built around it."""
+    record = cls.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
+_F = family("harmonic-zipf", 12)
+_SC = sample(_F, 200, 3)
+_VALID_RECORDS = [
+    _F,
+    _SC,
+    build_greedy_binary(_SC),
+    histogram_estimate(build_greedy_ternary(_SC), _SC),
+    greedy_pl_estimate(build_greedy_ternary(_SC), _SC),
+    HypercubeSpec(Regime.CONVEX_SMALL_K, 100, 30, 3, 0.25, (0, 1, 1)),
+    CandidateSet([_F, family("uniform", 12)], ["a", "b"]),
+]
+# (record built around its checks, the error its constructor raises, message)
+_BAD_RECORDS = [
+    (SampleCounts._trusted(3, 1, np.array([2, -1, 0])), BadParam, "non-negative"),
+    (_around_the_checks(DiscreteDensity, k=2, mass=np.array([0.6, 0.6])), NotNormalized, "not 1"),
+    (
+        PartitionTree._trusted(2, 4, ((1, 3), (4, 1))),
+        BadParam,
+        r"^span \(1, 3\) is not an aligned leaf at atom 1$",
+    ),
+    (
+        PiecewiseEstimate._from_columns(3, (1,), (2,), (False,), (0.5,), (0.0,), (0.0,)),
+        BadParam,
+        r"^pieces cover 1\.\.2, domain is 1\.\.3$",
+    ),
+    (
+        _around_the_checks(
+            HypercubeSpec,
+            regime=Regime.CONVEX_SMALL_K,
+            n=100,
+            k=30,
+            r=11,
+            epsilon=0.25,
+            theta=(0,) * 11,
+            bin_lengths=(3,) * 11,
+        ),
+        InfeasibleSpec,
+        "^bins need 33 atoms but the support has only 30$",
+    ),
+    (
+        _around_the_checks(CandidateSet, candidates=(_F,), labels=("a", "b")),
+        BadParam,
+        "^2 labels for 1 candidates$",
+    ),
+]
+
+
 def test_a_copy_is_built_by_the_checked_constructor():
-    # records holding what their checks refuse, built around the checks
-    bad_counts = SampleCounts._trusted(3, 1, np.array([2, -1, 0]))
-    bad_mass = DiscreteDensity.__new__(DiscreteDensity)
-    bad_mass.__dict__.update(k=2, mass=np.array([0.6, 0.6]))
-    for bad, error in ((bad_counts, BadParam), (bad_mass, NotNormalized)):
-        with pytest.raises(error):
-            pickle.loads(pickle.dumps(bad))
-        with pytest.raises(error):
-            copy.deepcopy(bad)
+    copies = (lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy)
+    for record, how in itertools.product(_VALID_RECORDS, copies):
+        back = how(record)
+        assert type(back) is type(record)
+        assert back == record
+        if type(record).__hash__ is not None:  # the tree, the estimate and the spec
+            assert hash(back) == hash(record)
+    # the tree, the estimate and the spec were copied as they were, their
+    # checks skipped; the density, sample and candidate set were not
+    for (bad, error, message), how in itertools.product(_BAD_RECORDS, copies):
+        with pytest.raises(error, match=message):
+            how(bad)
+
+
+def test_the_record_protocol_is_written_once():
+    from treedens.densities import _Record
+
+    protocol = {"_trusted", "__reduce__", "__eq__", "__hash__"}
+    for cls in (DiscreteDensity, SampleCounts, CandidateSet):
+        assert issubclass(cls, _Record) and not protocol & set(vars(cls))
+        assert cls.__hash__ is None
+    # these three keep the __eq__ and __hash__ their dataclass writes
+    for cls in (PartitionTree, PiecewiseEstimate, HypercubeSpec):
+        assert issubclass(cls, _Record) and not {"_trusted", "__reduce__"} & set(vars(cls))
 
 
 _MASS = [0.5, 0.25, 0.125, 0.125]
@@ -308,6 +386,9 @@ def test_subsets_to_masks_accepts_masks_and_indices():
     a = subsets_to_masks([{1, 3}], 3)
     b = subsets_to_masks([[True, False, True]], 3)
     assert np.array_equal(a, b)
+    # a subset made only of bools is a mask, whatever holds them
+    got = subsets_to_masks([(False, True, False), [np.True_] * 3], np.int64(3))
+    assert got.tolist() == [[False, True, False], [True] * 3]
     # subsets of different sizes give one row each
     got = subsets_to_masks([[1], [2, 3]], 3)
     assert got.tolist() == [[True, False, False], [False, True, True]]
@@ -401,3 +482,20 @@ def test_sample_rejects_an_n_that_cannot_size_an_array(n):
     # numpy's TypeError or ValueError escaped from Generator.random(n)
     with pytest.raises(BadParam, match="^n must be an integer of at most"):
         sample(family("uniform", 4), n, 0)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2.5, True, None, "3", 10**30, np.float64(3.0)], ids=repr)
+def test_subsets_to_masks_checks_its_k(k):
+    # -1 and 10**30 raised a bare ValueError, 2.5, True, None and "3" a
+    # bare TypeError
+    with pytest.raises(BadParam, match="^k must be "):
+        subsets_to_masks([[1]], k)
+
+
+@pytest.mark.parametrize(
+    "subset", [[1, True], [False, 2], [1.0, True], (2, np.True_), [True, 2, 3]], ids=repr
+)
+def test_an_atom_index_is_never_a_bool(subset):
+    # [1, True] was read as [1, 1], a mask of atom 1
+    with pytest.raises(BadParam, match=r"^atom indices must be integers in 1\.\.3, got "):
+        subsets_to_masks([subset], 3)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -569,3 +570,17 @@ def test_tree_json_shape():
 def test_greedy_trees_refuse_an_empty_sample(build):
     with pytest.raises(BadParam, match="need at least one sample"):
         build(SampleCounts(4, 0, [0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize(
+    "build, f",
+    [
+        (build_idealized_binary, family("harmonic-zipf", 10)),
+        (build_idealized_ternary, family("linear-decreasing", 9)),
+    ],
+)
+def test_an_idealized_n_past_the_float_range_is_refused(build, f):
+    # raised a bare OverflowError from the split rule's division by n
+    with pytest.raises(BadParam, match="^n must be an integer of at most 1.797"):
+        build(f, 10**400)
+    build(f, int(sys.float_info.max))  # the largest n the rule can divide by
