@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, *, seed_default=None):
+    def common(sp, command, *, seed_default=None):
+        sp.set_defaults(command=command)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="write data here instead of stdout")
         if seed_default is not None:
@@ -72,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_positive("--n"), required=True)
     sp.add_argument("--estimator", choices=tuple(ESTIMATORS), required=True)
     sp.add_argument("--param", type=float, default=None, help="family shape parameter")
-    common(sp, seed_default=0)
+    common(sp, _cmd_estimate, seed_default=0)
 
     sp = sub.add_parser("simulate", help="Monte Carlo risk of an estimator")
     sp.add_argument("--family", choices=FAMILY_NAMES, required=True)
@@ -83,13 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimator", choices=tuple(ESTIMATORS), required=True)
     sp.add_argument("--reps", type=_positive("--reps"), default=100)
     sp.add_argument("--threads", type=_positive("--threads"), default=1)
-    common(sp, seed_default=0)
+    common(sp, _cmd_simulate, seed_default=0)
 
     sp = sub.add_parser("rates", help="minimax rate branch and value")
     sp.add_argument("--class", dest="shape_class", choices=("monotone", "convex"), required=True)
     sp.add_argument("--n", type=_positive("--n"), required=True)
     sp.add_argument("--k", type=_positive("--k"), required=True)
-    common(sp)
+    common(sp, _cmd_rates)
 
     sp = sub.add_parser("assouad", help="hypercube lower-bound construction")
     sp.add_argument("--regime", choices=[r.value for r in Regime], required=True)
@@ -102,12 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="zeros",
         help='bit string like 0110, or "zeros"/"ones" expanded to length r',
     )
-    common(sp)
+    common(sp, _cmd_assouad)
 
     sp = sub.add_parser("vc", help="VC dimension of interval unions, by brute force")
     sp.add_argument("--ell", type=_positive("--ell"), required=True)
     sp.add_argument("--m", type=_positive("--m"), required=True)
-    common(sp)
+    common(sp, _cmd_vc)
 
     sp = sub.add_parser("mde", help="minimum-distance selection among family candidates")
     sp.add_argument(
@@ -118,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=FAMILY_NAMES, required=True, help="truth to sample from")
     sp.add_argument("--k", type=_positive("--k"), required=True)
     sp.add_argument("--n", type=_positive("--n"), required=True)
-    common(sp, seed_default=0)
+    common(sp, _cmd_mde, seed_default=0)
     return p
 
 
@@ -212,25 +213,24 @@ def _parse_theta(text: str, r: int, k: int) -> tuple:
 
 
 def _cmd_assouad(args) -> str | dict:
-    regime = Regime(args.regime)
     if (args.r is None) != (args.epsilon is None):
         raise TreedensError("--r and --epsilon must be given together or not at all")
     if args.r is None:
-        r, eps = assouad_default_params(regime, args.n, args.k)
+        r, eps = assouad_default_params(args.regime, args.n, args.k)
     else:
         r, eps = args.r, args.epsilon
     # the bound reads n as a float: checked in both formats, though CSV skips the bound
     if args.n > sys.float_info.max:
         raise BadParam("n is past the float range of the bound")
     theta = _parse_theta(args.theta, r, args.k)
-    spec = HypercubeSpec(regime, args.n, args.k, r, eps, theta)
+    spec = HypercubeSpec(args.regime, args.n, args.k, r, eps, theta)
     f = assouad_density(spec)
     if args.format == "csv":
         return f.to_csv()
     alpha, beta = assouad_alpha_beta(spec)
     bound = assouad_lower_bound(r, alpha, beta, args.n)
     return {
-        "regime": regime.value,
+        "regime": args.regime,
         "n": args.n,
         "k": args.k,
         "r": r,
@@ -278,16 +278,6 @@ def _cmd_mde(args) -> dict:
     }
 
 
-_COMMANDS = {
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
-    "rates": _cmd_rates,
-    "assouad": _cmd_assouad,
-    "vc": _cmd_vc,
-    "mde": _cmd_mde,
-}
-
-
 # parsing leaves the parser unchanged, so one tree serves every call
 _PARSER = _build_parser()
 
@@ -295,7 +285,7 @@ _PARSER = _build_parser()
 def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        _emit(args, _COMMANDS[args.subcommand](args))
+        _emit(args, args.command(args))
     except (TreedensError, OSError) as exc:
         print(f"treedens {args.subcommand}: {exc}", file=sys.stderr)
         return 1

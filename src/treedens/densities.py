@@ -17,8 +17,8 @@ read exactly as int64, and a bool, a non-integral item or one past int64
 is refused.  A function taking a record (a density, sample, tree,
 estimate, spec or candidate set) refuses anything else with BadParam
 before it reads an attribute (_check_type).  A collection of items is
-read by _check_items: tuple(v), else BadParam.  The six records share one
-copy, pickle and equality protocol, _Record.
+read by _check_items: tuple(v), else BadParam, for text too.  The six
+records share one copy, pickle and equality protocol, _Record.
 """
 
 from __future__ import annotations
@@ -248,8 +248,11 @@ def _check_type(name: str, v, cls) -> None:
 
 
 def _check_items(name: str, v, what: str) -> tuple:
-    """The collection rule: tuple(v), or BadParam when v is not iterable."""
+    """The collection rule: tuple(v), or BadParam when v is text (str,
+    bytes or bytearray, never read item by item) or not iterable."""
     try:
+        if isinstance(v, (str, bytes, bytearray)):
+            raise TypeError
         return tuple(v)
     except TypeError:
         raise BadParam(f"{name} must be an iterable of {what}") from None
@@ -384,8 +387,6 @@ def is_convex_non_increasing(f: DiscreteDensity) -> bool:
     if not is_non_increasing(f):
         return False
     m = f.mass
-    if f.k < 3:
-        return True
     second = (m[:-2] - 2.0 * m[1:-1]) + m[2:]
     return bool(np.all(second >= 0))
 

@@ -56,13 +56,6 @@ def _atom_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _finite_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _atom_pair(f, g)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise BadParam("atom values must be finite")
-    return a, b
-
-
 def _in_float_range(d: float) -> float:
     if not math.isfinite(d):
         raise BadParam(f"atom values must be finite, with a distance in the float range; got {d}")
@@ -80,10 +73,7 @@ def tv(f, g) -> float:
     before the refusal.
     """
     a, b = _atom_pair(f, g)
-    d = 0.5 * float(np.abs(a - b).sum())
-    if not math.isfinite(d):
-        raise BadParam(f"atom values must be finite, with a distance in the float range; got {d}")
-    return d
+    return _in_float_range(0.5 * float(np.abs(a - b).sum()))
 
 
 def tv_sup_bruteforce(f, g) -> float:
@@ -92,11 +82,12 @@ def tv_sup_bruteforce(f, g) -> float:
     Enumerates the 2^k subset sums of the differences f(x) - g(x) by
     doubling, so each subset is summed in atom order.  Equal to tv(f, g)
     when both arguments are genuine probability vectors; kept as an
-    independent oracle for exactly that identity.  Refuses k > 20 and, with
-    BadParam, a NaN or infinite atom value or a distance past the float
-    range.
+    independent oracle for exactly that identity.  Refuses k > 20 with
+    TooLarge first, then a result that is not finite with BadParam; the
+    difference at a NaN or infinite atom value is a one-atom subset's sum,
+    so it always makes the result not finite.
     """
-    a, b = _finite_pair(f, g)
+    a, b = _atom_pair(f, g)
     k = a.shape[0]
     if k > _BRUTE_K_CAP:
         raise TooLarge(f"2^{k} subsets is past the brute-force cap of 2^{_BRUTE_K_CAP}")
@@ -113,7 +104,9 @@ def hellinger_affinity(f, g) -> float:
     Raises BadParam when an atom value is NaN or infinite, or a product of
     two is past the float range, and NegativeMass when an atom of either
     argument is negative."""
-    a, b = _finite_pair(f, g)
+    a, b = _atom_pair(f, g)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):  # -inf: BadParam, not NegativeMass
+        raise BadParam("atom values must be finite")
     if a.min(initial=0.0) < 0 or b.min(initial=0.0) < 0:
         raise NegativeMass("affinity needs non-negative atom values")
     with np.errstate(over="ignore"):

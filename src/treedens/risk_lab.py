@@ -64,8 +64,8 @@ def _greedy_binary(f: DiscreteDensity, n: int, sc: SampleCounts):
 
 
 def _greedy_monotone(f: DiscreteDensity, n: int, sc: SampleCounts):
-    t = build_greedy_binary(sc)
-    return t, monotonize(histogram_estimate(t, sc))
+    t, est = _greedy_binary(f, n, sc)
+    return t, monotonize(est)
 
 
 def _greedy_ternary(f: DiscreteDensity, n: int, sc: SampleCounts):

@@ -1,10 +1,15 @@
 """The test configuration itself, run the way tier 1 runs it."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -32,3 +37,20 @@ def test_a_failing_property_gets_a_failure_report(tmp_path):
     )
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+# the (major, minor) floor of requires-python, ">=3.10"
+FLOOR = tuple(
+    map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M).groups())
+)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for top in ("src", "tests", "demos", "benchmarks") for p in (ROOT / top).rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_every_file_parses_at_the_declared_python_floor(path):
+    # only CI's 3.10 leg runs at the floor; ast at the floor's feature
+    # version refuses syntax a later Python added, on any interpreter
+    ast.parse(path.read_text(), str(path), feature_version=FLOOR)

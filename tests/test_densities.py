@@ -94,6 +94,8 @@ def test_convex_predicate():
     assert not is_convex_non_increasing(make_density([0.4, 0.35, 0.25]))
     # fewer than 3 atoms: no second difference exists to violate
     assert is_convex_non_increasing(make_density([0.5, 0.5]))
+    assert is_convex_non_increasing(make_density([0.75, 0.25]))
+    assert is_convex_non_increasing(make_density([1.0]))
 
 
 def test_convex_predicate_needs_non_increasing():

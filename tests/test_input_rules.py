@@ -221,3 +221,14 @@ _COLLECTION_SITES = [
 def test_every_collection_refuses_what_is_not_iterable(call, message, value):
     with pytest.raises(BadParam, match=f"^{message}$"):
         call(value)
+
+
+# text is iterable, but read item by item it was one label per character,
+# the bits (0, 1) of b"\x00\x01" and the grid n = 10, 20, 30 of b"\n\x14\x1e"
+@pytest.mark.parametrize(
+    "call, message", [c[1:] for c in _COLLECTION_SITES], ids=[c[0] for c in _COLLECTION_SITES]
+)
+@pytest.mark.parametrize("value", ["ab", b"ab", bytearray(b"ab")], ids=["str", "bytes", "bytearray"])
+def test_every_collection_refuses_text(call, message, value):
+    with pytest.raises(BadParam, match=f"^{message}$"):
+        call(value)

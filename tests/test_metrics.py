@@ -89,6 +89,9 @@ def test_bruteforce_equals_tv_for_densities():
 def test_bruteforce_cap():
     with pytest.raises(TooLarge):
         tv_sup_bruteforce(np.ones(21) / 21, np.ones(21) / 21)
+    # the cap comes before any verdict on the atom values
+    with pytest.raises(TooLarge):
+        tv_sup_bruteforce(np.full(21, math.nan), np.ones(21) / 21)
 
 
 def test_bruteforce_peak_memory_is_the_subset_sums():
